@@ -8,10 +8,8 @@ from .errors import (
     MaskDegenerate,
     NoBracket,
     NonConvergence,
-    OrderTooHigh,
     OutOfChart,
     OutOfDomain,
-    SeriesUnresolved,
     SingularMoments,
     SingularSystem,
     SlitkitError,
@@ -32,7 +30,6 @@ from .geometry import (
 from .xrpoly import (
     LaplacianResult,
     XRPolynomial,
-    evaluate_u0p,
     flat_principal,
     laplacian_monomial,
     laplacian_of_product,

@@ -3,8 +3,9 @@
 Every subcommand loads an ExperimentConfig (YAML file plus flag
 overrides), runs one experiment, writes CSV reports and a JSON manifest
 into the output directory, and exits nonzero iff a pass/fail check
-failed.  CSV output is deterministic for a fixed config and seed; the
-manifest carries the config hash, package versions, and wall time.
+failed.  CSV output is deterministic for a fixed config (no experiment
+draws random numbers); the manifest carries the config hash, package
+versions, and wall time.
 
 Output root: --output, else $SLITKIT_OUTPUT_ROOT, else ./slitkit_out.
 """
@@ -67,7 +68,7 @@ def _solve(cfg, outdir):
 
     grading = {"type": "power", "p": cfg.grading_p} if cfg.grading_p else None
     sol = solve_fd(_geometry(cfg), _phi(cfg), h=cfg.h, grading=grading,
-                   split=cfg.split, phi_descriptor=cfg.phi)
+                   split=cfg.split)
     sol.save_csv(outdir / "solution.csv")
     fr = sol.node_frames()
     _write_csv(outdir / "summary.csv", "stat,value", [
@@ -240,7 +241,6 @@ def main(argv=None) -> int:
         p.add_argument("--G", type=float, default=None)
         p.add_argument("--bracket", type=str, default=None, help="lo,hi")
         p.add_argument("--output", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:

@@ -15,7 +15,7 @@ import yaml
 
 from .errors import ConfigInvalid
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _KINDS = ("solve", "expand", "rates", "whitney", "neumann", "freeboundary",
           "barrier", "energy")
@@ -40,9 +40,7 @@ class ExperimentConfig:
     bracket: list = field(default_factory=lambda: [-0.9, 0.9])
     G: float = 1.0
     series_terms: int = 64
-    tolerance: float = 1e-8
     output_dir: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:

@@ -13,10 +13,6 @@ class NonConvergence(SlitkitError):
     """An iterative solve failed to reach its tolerance."""
 
 
-class OrderTooHigh(SlitkitError):
-    """Requested jet order exceeds what the geometry supports."""
-
-
 class SingularSystem(SlitkitError):
     """A coefficient linear system lost its triangular structure."""
 
@@ -51,10 +47,6 @@ class NoBracket(SlitkitError):
 
 class OutOfChart(SlitkitError):
     """Quadrature ball exits the tubular neighborhood of the interface."""
-
-
-class SeriesUnresolved(SlitkitError):
-    """Half-angle series truncation does not resolve the boundary data."""
 
 
 class ConfigInvalid(SlitkitError):

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IllConditioned, InsufficientResolution
+from .errors import InsufficientResolution
 from .geometry import GammaJet
-from .solver import GridSolution, HalfAngleSeries
+from .solver import GridSolution, HalfAngleSeries, _lstsq_poly, _vandermonde
 from .xrpoly import XRPolynomial
 
 
@@ -87,71 +87,69 @@ def _fit_loglog(scales, errors):
     return float(coef[0]), float(np.sqrt(np.mean(resid**2))), False
 
 
-def _poly_columns(n: int, degree: int):
-    """Multi-index/r-power keys of total degree <= degree, sorted."""
-    keys = []
-    for deg in range(degree + 1):
-        for m in range(deg + 1):
-            rem = deg - m
-            if n == 1:
-                keys.append(((rem,), m))
-            else:
-                for a in range(rem + 1):
-                    keys.append(((a, rem - a), m))
-    return keys
-
-
-def _vandermonde(keys, x, r):
-    cols = []
-    for mu, m in keys:
-        c = np.ones_like(r)
-        for i, e in enumerate(mu):
-            if e:
-                c = c * x[:, i] ** e
-        if m:
-            c = c * r**m
-        cols.append(c)
-    return np.stack(cols, axis=1)
-
-
 def _poly_from_coeffs(n, keys, coeffs) -> XRPolynomial:
     return XRPolynomial(n, {k: Fraction(float(v)) for k, v in zip(keys, coeffs) if v != 0.0})
 
 
 def evaluate_poly(P: XRPolynomial, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Vectorized float evaluation of an (x, r) polynomial."""
-    out = np.zeros_like(np.asarray(r, dtype=float))
-    for (mu, m), v in P.items():
-        c = float(v) * np.ones_like(out)
-        for i, e in enumerate(mu):
-            if e:
-                c = c * x[:, i] ** e
-        if m:
-            c = c * r**m
-        out += c
-    return out
+    keys = [key for key, _ in P.items()]
+    coef = np.array([float(v) for _, v in P.items()])
+    return _vandermonde(keys, x, np.asarray(r, dtype=float)) @ coef
+
+
+def _sup_rates(dev, dist, scales, target, mode: str, min_nodes: int = 0,
+               label: str = "") -> RateReport:
+    """Sup of ``dev`` over the ball (``mode="ball"``) or the dyadic
+    shell (``mode="shell"``) at each scale, and its log-log decay fit.
+
+    A region with fewer than ``min_nodes`` samples raises
+    InsufficientResolution; an empty one contributes zero.
+    """
+    if mode not in ("shell", "ball"):
+        raise ValueError(f"unknown mode {mode!r}")
+    inner = np.append(scales[1:], scales[-1] / 2.0)
+    errors = np.empty(len(scales))
+    for j, (lo, hi) in enumerate(zip(inner, scales)):
+        sel = dist <= hi
+        if mode == "shell":
+            sel &= dist > lo
+        if sel.sum() < min_nodes:
+            raise InsufficientResolution(
+                f"{mode} at scale {hi:.4f} has {int(sel.sum())} nodes < {min_nodes}")
+        errors[j] = dev[sel].max() if sel.any() else 0.0
+    expo, resid, exact = _fit_loglog(scales, errors)
+    return RateReport(scales=scales, errors=errors, exponent=expo, residual=resid,
+                      target=target, exact=exact,
+                      unusable=(not exact and resid > 0.3), label=label)
 
 
 # ----------------------------------------------------------------------
 # Sample extraction
 # ----------------------------------------------------------------------
 
-def _samples_grid(sol: GridSolution, Z, rmax: float, core: float | None = None):
+def _node_samples(sol: GridSolution, Z, rmax: float, min_cos: float = 0.0,
+                  values=None) -> dict:
+    """Grid nodes within ``rmax`` of the edge point Z, for fits and rates.
+
+    Excludes the core r < 4 local_h, the outer Dirichlet nodes and the
+    slit face u0 = 0; ``min_cos`` > 0 keeps only the sector
+    u0 >= min_cos * sqrt(r), i.e. cos(theta/2) >= min_cos.  ``x`` is
+    relative to Z; ``u`` holds ``values`` (default: the solution).
+    """
     fr = sol.node_frames()
-    Z = np.asarray(Z, dtype=float)
-    n = sol.n
-    x_rel = fr["x"] - Z[None, :]
-    dist = np.sqrt(np.sum(x_rel**2, axis=1) + fr["z"] ** 2)
-    if core is None:
-        core = 4 * sol.local_h()
-    sel = (dist <= rmax) & (fr["r"] >= core) & (fr["u0"] > 0) & ~sol.dirichlet_mask.ravel()
-    return {
-        "x": x_rel[sel], "r": fr["r"][sel], "u0": fr["u0"][sel],
-        "u": sol.values.ravel()[sel], "dist": dist[sel], "sel": sel,
-    }
+    x = fr["x"] - np.asarray(Z, dtype=float)[None, :]
+    dist = np.sqrt(np.sum(x**2, axis=1) + fr["z"] ** 2)
+    r, u0 = fr["r"], fr["u0"]
+    sel = (dist <= rmax) & (r >= 4 * sol.local_h()) & (u0 > 0) & ~sol.dirichlet_mask.ravel()
+    if min_cos > 0.0:
+        sel &= u0 >= min_cos * np.sqrt(np.maximum(r, 1e-300))
+    u = sol.values if values is None else values
+    return {"x": x[sel], "r": r[sel], "u0": u0[sel], "dist": dist[sel],
+            "u": u.ravel()[sel], "sel": sel}
 
 
-def _samples_series(series: HalfAngleSeries, Z, rmax: float,
+def _samples_series(series: HalfAngleSeries, Z, rmax: float, min_cos: float = 0.0,
                     n_r: int = 120, n_t: int = 60):
     if np.any(np.asarray(Z, dtype=float) != 0.0):
         raise ValueError("series samples are tip-centered")
@@ -160,17 +158,17 @@ def _samples_series(series: HalfAngleSeries, Z, rmax: float,
     R, T = np.meshgrid(r, t, indexing="ij")
     R, T = R.ravel(), T.ravel()
     u0 = np.sqrt(R) * np.cos(T / 2.0)
-    keep = u0 > 0
+    keep = (u0 > 0) & (u0 >= min_cos * np.sqrt(R))
     R, T, u0 = R[keep], T[keep], u0[keep]
     vals = series.evaluate_polar(R, T)
     return {"x": (R * np.cos(T))[:, None], "r": R, "u0": u0, "u": vals, "dist": R}
 
 
-def _samples(sol, Z, rmax, core=None):
+def _samples(sol, Z, rmax, min_cos=0.0):
     if isinstance(sol, GridSolution):
-        return _samples_grid(sol, Z, rmax, core)
+        return _node_samples(sol, Z, rmax, min_cos)
     if isinstance(sol, HalfAngleSeries):
-        return _samples_series(sol, Z, rmax)
+        return _samples_series(sol, Z, rmax, min_cos)
     raise TypeError(f"cannot sample {type(sol).__name__}")
 
 
@@ -195,17 +193,8 @@ def fit_tangent(sol, Z, degree: int, rmax: float = 0.25,
     """
     n = 1 if not isinstance(sol, GridSolution) else sol.n
     smp = _samples(sol, np.zeros(n) if Z is None else Z, rmax)
-    keys = _poly_columns(n, degree)
-    B = _vandermonde(keys, smp["x"], smp["r"]) * smp["u0"][:, None]
-    rhs = smp["u"]
-    if dist_power > 0.0:
-        w = 1.0 / np.maximum(smp["dist"], 1e-6) ** dist_power
-        B = B * w[:, None]
-        rhs = rhs * w
-    cond = np.linalg.cond(B)
-    if cond > cond_limit:
-        raise IllConditioned(f"tangent fit condition number {cond:.2e}")
-    coeffs, *_ = np.linalg.lstsq(B, rhs, rcond=None)
+    keys, coeffs = _lstsq_poly(n, degree, smp["x"], smp["r"], smp["u"], scale=smp["u0"],
+                               dist=smp["dist"], dist_power=dist_power, cond_limit=cond_limit)
     return _poly_from_coeffs(n, keys, coeffs)
 
 
@@ -227,37 +216,13 @@ def rate_report(sol, P0: XRPolynomial, Z, scales: Sequence[float],
     P0 must come from a single fit at the coarsest scale; refitting per
     scale would absorb exactly the decay being measured.
     """
-    if mode not in ("shell", "ball"):
-        raise ValueError(f"unknown mode {mode!r}")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
-    n = 1 if not isinstance(sol, GridSolution) else sol.n
-    Zv = np.zeros(n) if Z is None else np.asarray(Z, dtype=float)
-    smp = _samples(sol, Zv, scales[0])
-    quot = smp["u"] / (smp["u0"])
-    pvals = evaluate_poly(P0, smp["x"], smp["r"])
-    dev = np.abs(quot - pvals)
-    if min_cos > 0.0:
-        keep = smp["u0"] >= min_cos * np.sqrt(np.maximum(smp["r"], 1e-300))
-        smp = {k: (v[keep] if isinstance(v, np.ndarray) and v.shape == keep.shape else v)
-               for k, v in smp.items()}
-        dev = dev[keep]
-
-    inner = np.append(scales[1:], scales[-1] / 2.0)
-    errors = np.empty(len(scales))
-    for j, (lo, hi) in enumerate(zip(inner, scales)):
-        if mode == "ball":
-            sel = smp["dist"] <= hi
-        else:
-            sel = (smp["dist"] <= hi) & (smp["dist"] > lo)
-        if isinstance(sol, GridSolution) and sel.sum() < min_nodes:
-            raise InsufficientResolution(
-                f"region ({lo:.4f}, {hi:.4f}] has {int(sel.sum())} nodes < {min_nodes}"
-            )
-        errors[j] = dev[sel].max() if sel.any() else 0.0
-    expo, resid, exact = _fit_loglog(scales, errors)
-    return RateReport(scales=scales, errors=errors, exponent=expo, residual=resid,
-                      target=target, exact=exact,
-                      unusable=(not exact and resid > 0.3), label=label)
+    grid = isinstance(sol, GridSolution)
+    n = sol.n if grid else 1
+    smp = _samples(sol, np.zeros(n) if Z is None else Z, scales[0], min_cos)
+    dev = np.abs(smp["u"] / smp["u0"] - evaluate_poly(P0, smp["x"], smp["r"]))
+    return _sup_rates(dev, smp["dist"], scales, target, mode,
+                      min_nodes if grid else 0, label)
 
 
 def formal_gradient(P0: XRPolynomial, jet: GammaJet) -> list[XRPolynomial]:
@@ -301,11 +266,6 @@ def formal_hessian(P0: XRPolynomial, jet: GammaJet) -> list[list[XRPolynomial]]:
     return out
 
 
-def _axis_gradient(sol: GridSolution, axis: int) -> np.ndarray:
-    """Second-order one-axis derivative on the (possibly graded) grid."""
-    return np.gradient(sol.values, sol.axes[axis], axis=axis, edge_order=2)
-
-
 def derivative_rate_checks(sol: GridSolution, P0: XRPolynomial, jet: GammaJet,
                            Z, scales: Sequence[float], order: int = 1,
                            target: float | None = None) -> list[RateReport]:
@@ -315,64 +275,43 @@ def derivative_rate_checks(sol: GridSolution, P0: XRPolynomial, jet: GammaJet,
     order 1: d_i u * (r/U0) vs P0^i; order 2: d_ij u * (r^3/U0) vs
     P0^ij (harmonic right-hand sides only — callers enforce f = 0).
     """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     n = sol.n
     Zv = np.zeros(n) if Z is None else np.asarray(Z, dtype=float)
-    fr = sol.node_frames()
     if target is None:
         target = float(P0.degree)
 
-    grads = formal_gradient(P0, jet)
-    if order == 2:
-        hess = formal_hessian(P0, jet)
-
-    x_rel = fr["x"] - Zv[None, :]
-    dist = np.sqrt(np.sum(x_rel**2, axis=1) + fr["z"] ** 2)
-    r = fr["r"]
-    u0 = fr["u0"]
-    core = 4 * sol.local_h()
-    # |x'| = tangential displacement; the foot parameter measures arc
-    # position for n = 2, and there is no tangential direction at n = 1
-    xprime = np.abs(fr["foot"] - (Zv[0] if n == 2 else 0.0)) if n == 2 else np.zeros_like(r)
     # the derivative quotients carry a factor r/U0, so restrict to the
     # sector cos(theta/2) >= 1/2 where that factor is well-conditioned
-    cone = (r >= xprime) & (r >= core) & (u0 >= 0.5 * np.sqrt(r)) \
-        & ~sol.dirichlet_mask.ravel()
+    smp = _node_samples(sol, Zv, scales[0], min_cos=0.5)
+    sel = smp["sel"]
+    # |x'| = tangential displacement, measured by the foot parameter for
+    # n = 2; there is no tangential direction at n = 1
+    xprime = np.abs(sol.node_frames()["foot"][sel] - Zv[0]) if n == 2 else 0.0
+    cone = smp["r"] >= xprime
+    x, r, u0, dist = (smp[k][cone] for k in ("x", "r", "u0", "dist"))
+
+    def deriv(f, axis):
+        return np.gradient(f, sol.axes[axis], axis=axis, edge_order=2)
+
+    def at_samples(f):
+        return f.ravel()[sel][cone]
 
     reports = []
     if order == 1:
-        for i in range(n):
-            du = _axis_gradient(sol, i).ravel()
-            quot = np.where(cone, du * np.where(u0 > 0, r / np.maximum(u0, 1e-300), 0.0), 0.0)
-            targ = evaluate_poly(grads[i], x_rel, r)
-            reports.append(_shell_rates(quot - targ, dist, cone, scales, target,
-                                        label=f"d{i + 1}"))
-    elif order == 2:
-        for i in range(n):
-            dui = _gradient_field(sol, i)
-            for j in range(i, n):
-                dij = np.gradient(dui, sol.axes[j], axis=j, edge_order=2).ravel()
-                quot = np.where(cone, dij * r**3 / np.maximum(u0, 1e-300), 0.0)
-                targ = evaluate_poly(hess[i][j], x_rel, r)
-                reports.append(_shell_rates(quot - targ, dist, cone, scales, target,
-                                            label=f"d{i + 1}{j + 1}"))
+        for i, gi in enumerate(formal_gradient(P0, jet)):
+            quot = at_samples(deriv(sol.values, i)) * (r / np.maximum(u0, 1e-300))
+            dev = np.abs(quot - evaluate_poly(gi, x, r))
+            reports.append(_sup_rates(dev, dist, scales, target, "shell", label=f"d{i + 1}"))
     else:
-        raise ValueError("order must be 1 or 2")
+        hess = formal_hessian(P0, jet)
+        for i in range(n):
+            dui = deriv(sol.values, i)
+            for j in range(i, n):
+                quot = at_samples(deriv(dui, j)) * r**3 / np.maximum(u0, 1e-300)
+                dev = np.abs(quot - evaluate_poly(hess[i][j], x, r))
+                reports.append(_sup_rates(dev, dist, scales, target, "shell",
+                                          label=f"d{i + 1}{j + 1}"))
     return reports
-
-
-def _gradient_field(sol: GridSolution, axis: int) -> np.ndarray:
-    return np.gradient(sol.values, sol.axes[axis], axis=axis, edge_order=2)
-
-
-def _shell_rates(dev, dist, admissible, scales, target, label=""):
-    dev = np.abs(dev)
-    inner = np.append(scales[1:], scales[-1] / 2.0)
-    errors = np.empty(len(scales))
-    for j, (lo, hi) in enumerate(zip(inner, scales)):
-        shell = admissible & (dist <= hi) & (dist > lo)
-        errors[j] = dev[shell].max() if shell.any() else 0.0
-    expo, resid, exact = _fit_loglog(scales, errors)
-    return RateReport(scales=scales, errors=errors, exponent=expo, residual=resid,
-                      target=target, exact=exact,
-                      unusable=(not exact and resid > 0.3), label=label)

@@ -39,20 +39,13 @@ class SlitGeometry:
     g: Callable = None
     dg: Callable = None
     d2g: Callable = None
-    d3g: Callable = None
     flat: bool = False
-    norm_bound: float = 1.0
 
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("only n = 1 and n = 2 are supported")
         if not self.flat and self.g is None:
             raise ValueError("curved geometry needs g")
-
-    def g_at(self, xp):
-        if self.flat:
-            return 0.0
-        return float(self.g(xp))
 
 
 def flat_geometry(n: int) -> SlitGeometry:
@@ -69,11 +62,8 @@ def from_symbolic(n: int, expr, var) -> SlitGeometry:
     """Build an n = 2 geometry from a sympy expression g(x')."""
     if n != 2:
         raise ValueError("symbolic graphs are for n = 2")
-    dg = sp.diff(expr, var)
-    d2g = sp.diff(expr, var, 2)
-    d3g = sp.diff(expr, var, 3)
-    fs = [sp.lambdify(var, e, "numpy") for e in (expr, dg, d2g, d3g)]
-    return SlitGeometry(n=n, g=fs[0], dg=fs[1], d2g=fs[2], d3g=fs[3])
+    g, dg, d2g = (sp.lambdify(var, sp.diff(expr, var, j), "numpy") for j in range(3))
+    return SlitGeometry(n=n, g=g, dg=dg, d2g=d2g)
 
 
 @dataclass(frozen=True)
@@ -207,6 +197,11 @@ def frame_fields(geom: SlitGeometry, X, Z):
             t = t - np.clip(Fv / dF, -0.25, 0.25)
         gt = np.asarray(geom.g(t), dtype=float)
         dgt = np.asarray(geom.dg(t), dtype=float)
+        res = np.abs((t - x1) + (gt - x2) * dgt)
+        bad = ~(res <= 1e-9)  # NaN residuals count as failures
+        if bad.any():
+            raise NonConvergence(f"closest-point Newton left {int(bad.sum())} points with "
+                                 f"residual > 1e-9 (max {np.max(res[bad]):.2e})")
         dist = np.hypot(x1 - t, x2 - gt)
         sgn = np.where(x2 >= gt + dgt * (x1 - t), 1.0, -1.0)
         d[:] = sgn * dist
@@ -274,61 +269,60 @@ def _series_to_xr(expr, xs, order: int, n: int) -> XRPolynomial:
     return XRPolynomial(n, coeffs)
 
 
+_X1, _X2, _T = sp.symbols("x1 x2 t")
+
+
+def _foot_series(g_expr, order: int, steps: int):
+    """Edge graph g(t) and the closest-point parameter t(x) as a series.
+
+    Newton iteration on the truncated series of
+    (t - x_1) + (g(t) - x_2) g'(t) = 0, starting from t = x_1, with
+    ``steps`` iterations and truncation at total degree ``order``.
+    """
+    xs = (_X1, _X2)
+    g = sp.sympify(g_expr)
+    var = sorted(g.free_symbols, key=str)
+    if var:
+        g = g.subs(var[0], _T)
+    if sp.simplify(g.subs(_T, 0)) != 0 or sp.simplify(sp.diff(g, _T).subs(_T, 0)) != 0:
+        raise ValueError("edge graph must satisfy g(0) = 0, g'(0) = 0")
+    F = (_T - _X1) + (g - _X2) * sp.diff(g, _T)
+    ts = _X1
+    for _ in range(steps):
+        Ft = F.subs(_T, ts)
+        dFt = sp.diff(F, _T).subs(_T, ts)
+        ts = _trunc_poly(sp.expand(ts - sp.expand(Ft) * _series_inverse(dFt, xs, order)),
+                         xs, order)
+    return g, ts
+
+
 def gamma_jet(g_expr, order: int, n: int = 2) -> GammaJet:
     """Jet of the signed distance frame for the n = 2 edge x_2 = g(x_1).
 
     Works about the origin (g(0) = 0, g'(0) = 0).  The closest-point
-    parameter t(x) is found as a truncated power series by Newton
-    iteration on (t - x_1) + (g(t) - x_2) g'(t) = 0, then everything
-    else follows from d = sign * |x - (t, g(t))|.
+    parameter t(x) comes from ``_foot_series`` through degree order + 1,
+    then everything else follows from d = sign * |x - (t, g(t))|.
     """
     if n != 2:
         raise ValueError("jets of curved edges need n = 2")
-    x1, x2, t = sp.symbols("x1 x2 t")
-    g = sp.sympify(g_expr)
-    var = sorted(g.free_symbols, key=str)
-    if var:
-        g = g.subs(var[0], t)
-    if sp.simplify(g.subs(t, 0)) != 0 or sp.simplify(sp.diff(g, t).subs(t, 0)) != 0:
-        raise ValueError("edge graph must satisfy g(0) = 0, g'(0) = 0")
+    xs = (_X1, _X2)
+    g, ts = _foot_series(g_expr, order + 1, max(3, order.bit_length() + 2))
 
     def trunc(e):
-        p = sp.expand(e)
-        out = sp.Integer(0)
-        for mu_total in range(order + 2):
-            for a in range(mu_total + 1):
-                c = p.coeff(x1, a).coeff(x2, mu_total - a).subs({x1: 0, x2: 0})
-                if c != 0:
-                    out += c * x1**a * x2 ** (mu_total - a)
-        return out
+        return _trunc_poly(e, xs, order + 1)
 
-    dg = sp.diff(g, t)
-    F = (t - x1) + (g - x2) * dg
-
-    # Newton on truncated series, starting from t = x1
-    ts = x1
-    for _ in range(max(3, order.bit_length() + 2)):
-        Ft = F.subs(t, ts)
-        dFt = sp.diff(F, t).subs(t, ts)
-        ts = trunc(sp.expand(ts - sp.expand(Ft) * _series_inverse(dFt, (x1, x2), order + 1)))
-
-    gt = trunc(g.subs(t, ts))
-    dgt = trunc(dg.subs(t, ts))
-    # signed distance: d = (x2 - g(t)) * sqrt(1 + g'(t)^2) / ... use
-    # d = (x2 - gt) / sqrt(1 + dgt^2) + correction? Exact route instead:
+    gt = trunc(g.subs(_T, ts))
+    dgt = trunc(sp.diff(g, _T).subs(_T, ts))
     # d^2 = (x1 - t)^2 + (x2 - gt)^2 and x1 - t = -(x2 - gt) * dgt, so
     # d = (x2 - gt) * sqrt(1 + dgt^2), positive on the +e_2 side.
-    s = trunc(sp.expand(dgt**2))
-    sqrt_series = _sqrt1p_series(s, (x1, x2), order + 1, trunc)
-    d_series = trunc(sp.expand((x2 - gt) * sqrt_series))
+    sqrt_series = _sqrt1p_series(trunc(sp.expand(dgt**2)), xs, order + 1)
+    d_series = trunc(sp.expand((_X2 - gt) * sqrt_series))
 
-    # nu = grad d; differentiate the series directly
-    nu1 = trunc(sp.diff(d_series, x1))
-    nu2 = trunc(sp.diff(d_series, x2))
-    # kappa = -Laplacian(d)
-    kappa = trunc(-(sp.diff(d_series, x1, 2) + sp.diff(d_series, x2, 2)))
+    # nu = grad d and kappa = -Laplacian(d), differentiating the series
+    nu1 = trunc(sp.diff(d_series, _X1))
+    nu2 = trunc(sp.diff(d_series, _X2))
+    kappa = trunc(-(sp.diff(d_series, _X1, 2) + sp.diff(d_series, _X2, 2)))
 
-    xs = (x1, x2)
     return GammaJet(
         n=2, order=order,
         d=_series_to_xr(d_series, xs, order + 1, 2),
@@ -341,28 +335,12 @@ def gamma_jet(g_expr, order: int, n: int = 2) -> GammaJet:
 def foot_jet(g_expr, order: int) -> "XRPolynomial":
     """Closest-point parameter t(x) of the n = 2 edge as an x-series.
 
-    Same Newton-on-series construction as gamma_jet; returns the jet of
-    the edge-flattening tangential coordinate y_1 = t (an r-free
+    The same Newton-on-series construction as gamma_jet; returns the jet
+    of the edge-flattening tangential coordinate y_1 = t (an r-free
     polynomial), exact through total degree ``order``.
     """
-    x1, x2, t = sp.symbols("x1 x2 t")
-    g = sp.sympify(g_expr)
-    var = sorted(g.free_symbols, key=str)
-    if var:
-        g = g.subs(var[0], t)
-    if sp.simplify(g.subs(t, 0)) != 0 or sp.simplify(sp.diff(g, t).subs(t, 0)) != 0:
-        raise ValueError("edge graph must satisfy g(0) = 0, g'(0) = 0")
-
-    def trunc(e):
-        return _trunc_poly(sp.expand(e), (x1, x2), order)
-
-    F = (t - x1) + (g - x2) * sp.diff(g, t)
-    ts = x1
-    for _ in range(max(3, order.bit_length() + 2)):
-        Ft = F.subs(t, ts)
-        dFt = sp.diff(F, t).subs(t, ts)
-        ts = trunc(sp.expand(ts - sp.expand(Ft) * _series_inverse(dFt, (x1, x2), order)))
-    return _series_to_xr(ts, (x1, x2), order, 2)
+    _, ts = _foot_series(g_expr, order, max(3, order.bit_length() + 2))
+    return _series_to_xr(ts, (_X1, _X2), order, 2)
 
 
 def _series_inverse(e, xs, order):
@@ -393,7 +371,7 @@ def _trunc_poly(p, xs, order):
     return out
 
 
-def _sqrt1p_series(s, xs, order, trunc):
+def _sqrt1p_series(s, xs, order):
     """sqrt(1 + s) for a series s with s(0) = 0, via the binomial series."""
     out = sp.Integer(1)
     spow = sp.Integer(1)
@@ -401,8 +379,8 @@ def _sqrt1p_series(s, xs, order, trunc):
     coeff = sp.Integer(1)
     for j in range(1, order + 1):
         coeff = coeff * (half - (j - 1)) / j
-        spow = trunc(sp.expand(spow * s))
+        spow = _trunc_poly(sp.expand(spow * s), xs, order)
         if spow == 0:
             break
         out += coeff * spow
-    return trunc(sp.expand(out))
+    return _trunc_poly(sp.expand(out), xs, order)

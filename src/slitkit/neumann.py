@@ -4,16 +4,12 @@ For a solution u with u_n > 0 near the edge, the quotient w = u_i/u_n
 solves Delta(u_n w) = 0 with w_nu = 0 on the edge, and is as regular as
 the free boundary.  This module extracts w from grid solutions, solves
 the flat constant-coefficient family T = Q(x') + r P(x, r) exactly, and
-builds/checks the corrector pairs (Q, P) with their residual rates.
+builds the corrector pairs (Q, P).
 
 All polynomial solves are exact over rationals; the key identity is the
-r^2-multiplied bracket of Delta((U0/r) x^mu r^m), valid down to m = 0:
-
-  r^3/U0 * Delta((U0/r) x^mu r^m) =
-      sum_i mu_i(mu_i-1) x^(mu-2i) r^(m+2)
-    + (m-1) m x^mu r^m
-    + x^mu (r^(m+1)/2 + (m-1) d r^m) * (Delta d)
-    + (r^(m+1) + 2(m-1) d r^m) * sum_i mu_i nu^i x^(mu-i)
+r^2-multiplied bracket r^3/U0 * Delta((U0/r) x^mu r^m) = r^2 * (r/U0) *
+Delta(U0 x^mu r^(m-1)), valid down to m = 0, with the bracket taken
+from ``xrpoly.edge_bracket``.
 """
 from __future__ import annotations
 
@@ -23,15 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateWeight, SingularSystem
-from .expansion import RateReport, _fit_loglog, evaluate_poly
-from .geometry import GammaJet, flat_jet
-from .solver import GridSolution
+from .expansion import RateReport, _node_samples, _poly_from_coeffs, _sup_rates, evaluate_poly
+from .geometry import GammaJet
+from .solver import GridSolution, _lstsq_poly
 from .whitney import YPolynomial
-from .xrpoly import XRPolynomial
+from .xrpoly import XRPolynomial, poly_bracket
 
 __all__ = [
     "QuotientField", "NeumannPair", "quotient", "constant_T", "t_nu_on_edge",
-    "weighted_laplacian_bracket", "solve_pair_systems", "build_WQP", "fit_quotient_expansion",
+    "weighted_laplacian_bracket", "solve_pair_systems", "fit_quotient_expansion",
     "neumann_rate",
 ]
 
@@ -48,43 +44,14 @@ def weighted_laplacian_bracket(V: XRPolynomial, jet: GammaJet,
     derivative profile of U0 up to the factor 1/2.  Vanishing of the
     result through total degree k + 2 is the corrector condition
     Delta(u_n W) = O((U0/r) |X|^(k+alpha)) at the symbolic level.
+    Each monomial x^mu r^m contributes r^2 times the bracket of
+    Delta(U0 x^mu r^(m-1)).
     """
-    n = V.n
-    delta_d = XRPolynomial.zero(n) if jet.is_flat else -jet.kappa
-    if jet.is_flat:
-        d_poly = XRPolynomial.x_var(n, n - 1)
-        nu = [XRPolynomial.zero(n) for _ in range(n)]
-        nu[n - 1] = XRPolynomial.constant(n, 1)
-    else:
-        d_poly = jet.d
-        nu = jet.nu
-    out = XRPolynomial.zero(n)
+    lap_d = -jet.kappa
+    out = XRPolynomial.zero(V.n)
     for (mu, m), v in V.items():
-        term = XRPolynomial.zero(n)
-        for i in range(n):
-            if mu[i] > 1:
-                lo = list(mu)
-                lo[i] -= 2
-                term = term + XRPolynomial.monomial(n, lo, m + 2, mu[i] * (mu[i] - 1))
-        if (m - 1) * m != 0:
-            term = term + XRPolynomial.monomial(n, mu, m, (m - 1) * m)
-        x_mu = XRPolynomial.monomial(n, mu, 0)
-        kap_w = x_mu * XRPolynomial.monomial(n, (0,) * n, m + 1, Fraction(1, 2))
-        if m != 1:
-            kap_w = kap_w + x_mu * d_poly * XRPolynomial.monomial(n, (0,) * n, m, m - 1)
-        term = term + kap_w * delta_d
-        grad_w = XRPolynomial.monomial(n, (0,) * n, m + 1)
-        if m != 1:
-            grad_w = grad_w + d_poly * XRPolynomial.monomial(n, (0,) * n, m, 2 * (m - 1))
-        for i in range(n):
-            if mu[i] > 0:
-                lo = list(mu)
-                lo[i] -= 1
-                term = term + grad_w * nu[i] * XRPolynomial.monomial(n, lo, 0, mu[i])
-        out = out + v * term
-    if degree is not None:
-        out = out.truncate(degree)
-    return out
+        out = out + v * poly_bracket(mu, m - 1, jet.d, jet.nu, lap_d, shift=2)
+    return out if degree is None else out.truncate(degree)
 
 
 # ----------------------------------------------------------------------
@@ -398,57 +365,6 @@ def quotient(u: GridSolution, i: int, floor_frac: float = 1e-3) -> QuotientField
 # Corrector residual rates and the quotient regularity rate
 # ----------------------------------------------------------------------
 
-def build_WQP(pair: NeumannPair, u: GridSolution, jet: GammaJet,
-              scales=None) -> dict:
-    """W = E(Q) + (U0/u_n) P on the grid of ``u`` with residual rates.
-
-    The weight U0/u_n is realized as r / N(x, r) with N the pair's edge
-    expansion; residual (W1) is the edge normal derivative of W at
-    shrinking distances, (W2) is (r/U0) Delta_h(u_n W) against |X|^k.
-    Both come back as RateReports (fitted exponent vs. target).
-    """
-    if scales is None:
-        scales = [2.0**-j for j in range(2, 6)]
-    n = u.n
-    fr = u.node_frames()
-    r = fr["r"]
-    x = fr["x"] if "x" in fr else None
-    grids = np.meshgrid(*u.axes, indexing="ij")
-    X = np.stack([g.ravel() for g in grids[:-1]], axis=1)
-    Nvals = np.array([float(pair.weight.evaluate(list(xx), rr)) for xx, rr in
-                      zip(X, r)]) if pair.weight.degree > 0 else \
-        float(pair.weight.evaluate([0.0] * n, 0.0)) * np.ones(len(r))
-    EQ = _q_to_xr(pair.Q, None if jet.is_flat else None, pair.k + 2)
-    # for residual evaluation use Q composed with the numeric foot map
-    foot = fr["foot"]
-    Qy = pair.Q.evaluate_foot(foot)
-    Pv = evaluate_poly(pair.P, X, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        W = Qy + np.where(Nvals != 0, r / np.where(Nvals != 0, Nvals, 1.0), 0.0) * Pv
-    W = W.reshape(u.values.shape)
-
-    # (W1): normal derivative along nu at shrinking edge distance
-    from .geometry import frame_fields
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(tuple(u.axes[:-1]), W[..., 0],
-                                     bounds_error=False, fill_value=np.nan)
-    Z = np.zeros(n)
-    nu0 = frame_fields(u.geom, Z[None, :], np.zeros(1))["nu"][0]
-    w1 = []
-    for s in scales:
-        step = max(2 * u.local_h(), s / 8)
-        p1 = Z + (s + step) * nu0
-        p0 = Z + max(s - step, s / 2) * nu0
-        v1, v0 = interp(p1[None, :])[0], interp(p0[None, :])[0]
-        w1.append(abs((v1 - v0) / ((s + step) - max(s - step, s / 2))))
-    w1 = np.asarray(w1)
-    e1, r1, ex1 = _fit_loglog(np.asarray(scales), np.maximum(w1, 1e-16))
-    rep1 = RateReport(scales=np.asarray(scales), errors=w1, exponent=e1,
-                      residual=r1, target=pair.k + 1.0, exact=ex1, label="edge-normal-derivative")
-    return {"W": W, "W1": rep1}
-
-
 def fit_quotient_expansion(w: QuotientField, Z, degree: int,
                            rmax: float = 0.25, dist_power: float = 0.0,
                            min_cos: float = 0.0) -> XRPolynomial:
@@ -460,29 +376,17 @@ def fit_quotient_expansion(w: QuotientField, Z, degree: int,
     ``fit_tangent``), and ``min_cos`` cuts the slit-face sector as in
     ``neumann_rate``.
     """
-    from .expansion import _poly_columns, _vandermonde, _poly_from_coeffs
-
-    fr = w.u.node_frames()
-    Zv = np.asarray(Z, dtype=float)
-    grids = np.meshgrid(*w.u.axes, indexing="ij")
-    X = np.stack([g.ravel() for g in grids[:-1]], axis=1)
-    z = grids[-1].ravel()
-    dist = np.sqrt(((X - Zv[None, :]) ** 2).sum(axis=1) + z**2)
-    vals = w.values.ravel()
-    r = fr["r"]
-    ok = (w.valid.ravel() & np.isfinite(vals) & (dist <= rmax)
-          & (r >= 4 * w.u.local_h()))
-    if min_cos > 0.0:
-        ok &= fr["u0"] >= min_cos * np.sqrt(np.maximum(r, 1e-300))
-    keys = _poly_columns(w.n, degree)
-    B = _vandermonde(keys, X[ok] - Zv[None, :], r[ok])
-    rhs = vals[ok]
-    if dist_power > 0.0:
-        wt = 1.0 / np.maximum(dist[ok], 1e-6) ** dist_power
-        B = B * wt[:, None]
-        rhs = rhs * wt
-    coeffs, *_ = np.linalg.lstsq(B, rhs, rcond=None)
+    smp = _quotient_samples(w, Z, rmax, min_cos)
+    keys, coeffs = _lstsq_poly(w.n, degree, smp["x"], smp["r"], smp["u"],
+                               dist=smp["dist"], dist_power=dist_power)
     return _poly_from_coeffs(w.n, keys, coeffs)
+
+
+def _quotient_samples(w: QuotientField, Z, rmax: float, min_cos: float) -> dict:
+    """Valid, finite quotient values at the shared fit/rate sample nodes."""
+    smp = _node_samples(w.u, Z, rmax, min_cos, values=w.values)
+    keep = w.valid.ravel()[smp.pop("sel")] & np.isfinite(smp["u"])
+    return {k: v[keep] for k, v in smp.items()}
 
 
 def neumann_rate(w: QuotientField, T0: XRPolynomial, Z, scales,
@@ -498,31 +402,6 @@ def neumann_rate(w: QuotientField, T0: XRPolynomial, Z, scales,
     discretization noise rather than the continuum quantity.
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
-    fr = w.u.node_frames()
-    shape = w.values.shape
-    Zv = np.asarray(Z, dtype=float)
-    grids = np.meshgrid(*w.u.axes, indexing="ij")
-    X = np.stack([g.ravel() for g in grids[:-1]], axis=1)
-    z = grids[-1].ravel()
-    dist = np.sqrt(((X - Zv[None, :]) ** 2).sum(axis=1) + z**2)
-    vals = w.values.ravel()
-    ok = w.valid.ravel() & np.isfinite(vals)
-    r = fr["r"]
-    core = 4 * w.u.local_h()
-    ok &= r >= core
-    if min_cos > 0.0:
-        ok &= fr["u0"] >= min_cos * np.sqrt(np.maximum(r, 1e-300))
-    pred = evaluate_poly(T0, X, r)
-    dev = np.abs(vals - pred)
-    errors = np.empty(len(scales))
-    for j, s in enumerate(scales):
-        sel = ok & (dist <= s)
-        if sel.sum() < 50:
-            from .errors import InsufficientResolution
-
-            raise InsufficientResolution(f"ball {s} has {int(sel.sum())} usable nodes")
-        errors[j] = dev[sel].max()
-    expo, resid, exact = _fit_loglog(scales, errors)
-    return RateReport(scales=scales, errors=errors, exponent=expo, residual=resid,
-                      target=target, exact=exact, unusable=(not exact and resid > 0.3),
-                      label=label)
+    smp = _quotient_samples(w, Z, scales[0], min_cos)
+    dev = np.abs(smp["u"] - evaluate_poly(T0, smp["x"], smp["r"]))
+    return _sup_rates(dev, smp["dist"], scales, target, "ball", min_nodes=50, label=label)

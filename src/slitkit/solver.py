@@ -17,6 +17,7 @@ Plus the barrier and energy utilities used by the compactness arguments.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -28,8 +29,9 @@ import scipy.integrate
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import MaskDegenerate, NonConvergence, TruncationWarning
+from .errors import IllConditioned, MaskDegenerate, NonConvergence, TruncationWarning
 from .geometry import SlitGeometry, frame_fields
+from .xrpoly import _bump, edge_bracket
 
 # ----------------------------------------------------------------------
 # Half-angle series (2D, slit on the negative x1-axis)
@@ -178,17 +180,13 @@ def make_axes(n: int, h: float, grading: dict | None = None) -> list[np.ndarray]
     return axes
 
 
-def _cell_widths(c: np.ndarray, half_start: bool) -> np.ndarray:
-    """Node-centered cell widths; ``half_start`` marks a symmetry wall
-    at c[0] (cell [c0, (c0+c1)/2])."""
+def _cell_widths(c: np.ndarray) -> np.ndarray:
+    """Node-centered cell widths; the end cells are one-sided halves
+    (at the z = 0 symmetry wall the cell is [c0, (c0+c1)/2])."""
     w = np.empty_like(c)
     w[1:-1] = (c[2:] - c[:-2]) / 2.0
-    w[0] = (c[1] - c[0]) / (2.0 if half_start else 1.0)
-    w[-1] = (c[-1] - c[-2]) / 2.0 if half_start else (c[-1] - c[-2])
-    # outer x-cells: use one-sided half width on both ends
-    if not half_start:
-        w[0] = (c[1] - c[0]) / 2.0
-        w[-1] = (c[-1] - c[-2]) / 2.0
+    w[0] = (c[1] - c[0]) / 2.0
+    w[-1] = (c[-1] - c[-2]) / 2.0
     return w
 
 
@@ -207,8 +205,6 @@ class GridSolution:
     dirichlet_mask: np.ndarray
     h: float
     grading: dict | None = None
-    phi_descriptor: str = ""
-    f_descriptor: str = ""
     frames: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -344,7 +340,7 @@ class _FVSystem:
         self.axes = axes
         self.dims = dims
         self.interior = interior
-        widths = [_cell_widths(a, half_start=(i == ndim - 1)) for i, a in enumerate(axes)]
+        widths = [_cell_widths(a) for a in axes]
 
         vol = np.ones(dims)
         for i, w in enumerate(widths):
@@ -447,7 +443,17 @@ class _FVSystem:
 # Singularity splitting
 # ----------------------------------------------------------------------
 
-def _split_keys(n: int, degree: int):
+def _xpow(x: np.ndarray, mu) -> np.ndarray:
+    """x^mu at every row of the point array x."""
+    c = np.ones(len(x))
+    for i, e in enumerate(mu):
+        if e:
+            c = c * x[:, i] ** e
+    return c
+
+
+def _poly_columns(n: int, degree: int):
+    """Multi-index/r-power keys of total degree <= degree, sorted."""
     keys = []
     for deg in range(degree + 1):
         for m in range(deg + 1):
@@ -458,6 +464,39 @@ def _split_keys(n: int, degree: int):
                 for a in range(rem + 1):
                     keys.append(((a, rem - a), m))
     return keys
+
+
+def _vandermonde(keys, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Columns x^mu r^m, one per key, at the sample points (x, r)."""
+    B = np.empty((len(r), len(keys)))
+    for j, (mu, m) in enumerate(keys):
+        c = _xpow(x, mu)
+        B[:, j] = c * r**m if m else c
+    return B
+
+
+def _lstsq_poly(n: int, degree: int, x, r, values, scale=None, dist=None,
+                dist_power: float = 0.0, cond_limit: float | None = None):
+    """Keys and least-squares coefficients of values ~ scale * P(x, r).
+
+    P runs over the monomials of total degree <= degree.  Rows are
+    weighted by dist^-dist_power when dist_power > 0; ``cond_limit``
+    bounds the condition number of the weighted design matrix.
+    """
+    keys = _poly_columns(n, degree)
+    B = _vandermonde(keys, x, r)
+    if scale is not None:
+        B = B * scale[:, None]
+    if dist_power > 0.0:
+        w = 1.0 / np.maximum(dist, 1e-6) ** dist_power
+        B = B * w[:, None]
+        values = values * w
+    if cond_limit is not None:
+        cond = np.linalg.cond(B)
+        if cond > cond_limit:
+            raise IllConditioned(f"polynomial fit condition number {cond:.2e}")
+    coef, *_ = np.linalg.lstsq(B, values, rcond=None)
+    return keys, coef
 
 
 def _fit_split_coefficients(sol: GridSolution, r_lo: float, r_hi: float,
@@ -471,25 +510,11 @@ def _fit_split_coefficients(sol: GridSolution, r_lo: float, r_hi: float,
     fr = sol.node_frames()
     r = fr["r"]
     u0 = fr["u0"]
-    u = sol.values.ravel()
     sel = (r >= r_lo) & (r <= r_hi) & (u0 > 0) & ~sol.dirichlet_mask.ravel()
     if sel.sum() < 30:
         raise MaskDegenerate("too few annulus nodes for the splitting fit")
-    keys = _split_keys(sol.n, degree)
-    x = fr["x"][sel]
-    rs = r[sel]
-    cols = []
-    for mu, m in keys:
-        c = np.ones_like(rs)
-        for i, e in enumerate(mu):
-            if e:
-                c = c * x[:, i] ** e
-        if m:
-            c = c * rs**m
-        cols.append(c)
-    Bm = np.stack(cols, axis=1) * u0[sel][:, None]
-    coef, *_ = np.linalg.lstsq(Bm, u[sel], rcond=None)
-    return keys, coef
+    return _lstsq_poly(sol.n, degree, fr["x"][sel], r[sel], sol.values.ravel()[sel],
+                       scale=u0[sel])
 
 
 def _laplacian_d(sol: GridSolution):
@@ -521,7 +546,6 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
     u0 = fr["u0"]
     nu = fr["nu"]
     x = fr["x"]
-    n = sol.n
     lap_d = _laplacian_d(sol)
 
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
@@ -532,40 +556,16 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
     for (mu, m), a in zip(keys, coef):
         if a == 0.0:
             continue
-        xmu = np.ones_like(r)
-        for i, e in enumerate(mu):
-            if e:
-                xmu = xmu * x[:, i] ** e
-        rm = r**m
-        rm1 = r ** (m - 1) if m >= 1 else inv_r
-        P += a * xmu * rm
-
-        term = np.zeros_like(r)
-        for i, e in enumerate(mu):
-            if e >= 2:
-                xr = np.ones_like(r)
-                for i2, e2 in enumerate(mu):
-                    ee = e2 - (2 if i2 == i else 0)
-                    if ee:
-                        xr = xr * x[:, i2] ** ee
-                term += e * (e - 1) * xr * r ** (m + 1)
-        if m >= 1:
-            term += m * (m + 1) * xmu * rm1
-        term += xmu * (0.5 * rm + (m * d * rm1 if m >= 1 else 0.0)) * lap_d
-        grad_mu_nu = np.zeros_like(r)
-        for i, e in enumerate(mu):
-            if e >= 1:
-                xr = np.ones_like(r)
-                for i2, e2 in enumerate(mu):
-                    ee = e2 - (1 if i2 == i else 0)
-                    if ee:
-                        xr = xr * x[:, i2] ** ee
-                grad_mu_nu += e * xr * nu[:, i]
-        term += (rm + (2 * m * d * rm1 if m >= 1 else 0.0)) * grad_mu_nu
-        bracket += a * term
-
-        rad = xmu * (m + 0.5) * rm1 + rm1 * d * grad_mu_nu
-        radial += a * rad
+        # per-monomial caches: the bracket, P and the radial term share
+        # these node powers, and a grid-wide cache would cost memory
+        xpow = functools.cache(lambda k: _xpow(x, k))
+        rpow = functools.cache(lambda j: r**j)
+        xmu = xpow(mu)
+        rm1 = rpow(m - 1) if m >= 1 else inv_r
+        P += a * xmu * rpow(m)
+        bracket += a * edge_bracket(mu, m, xpow, rpow, d, nu.T, lap_d, 0.5)
+        grad_mu_nu = sum(e * xpow(_bump(mu, i, -1)) * nu[:, i] for i, e in enumerate(mu) if e)
+        radial += a * (xmu * (m + 0.5) * rm1 + rm1 * d * grad_mu_nu)
 
     chi = cutoff(r)
     chi1 = cutoff_d1(r)
@@ -586,8 +586,7 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
 
 def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
              h: float = 2**-6, grading: dict | None = None, split: bool = False,
-             raw_rhs: Callable | None = None, tol: float = 1e-11,
-             phi_descriptor: str = "", f_descriptor: str = "") -> GridSolution:
+             raw_rhs: Callable | None = None, tol: float = 1e-11) -> GridSolution:
     """Solve Delta u = (U0/r) f (or a raw right-hand side) on the slit
     half-space grid: Dirichlet phi outside the unit sphere, zero on the
     slit mask, natural Neumann on the symmetry plane.
@@ -601,8 +600,7 @@ def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
     slit, outer, interior = _classify(geom, axes, h)
 
     sol = GridSolution(geom=geom, axes=axes, values=np.zeros(dims), slit_mask=slit,
-                       dirichlet_mask=outer, h=h, grading=grading,
-                       phi_descriptor=phi_descriptor, f_descriptor=f_descriptor)
+                       dirichlet_mask=outer, h=h, grading=grading)
     fr = sol.node_frames()
 
     grids = np.meshgrid(*axes, indexing="ij")
@@ -638,9 +636,8 @@ def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
     # O(h^(1/2)) error, the second works from a much better solution
     r_lo = max(0.02, 6 * sol.local_h())
     r_hi = max(0.12, 2.5 * r_lo)
-    degree = 3 if geom.n == 2 else 3
     for _ in range(2):
-        keys, coef = _fit_split_coefficients(sol, r_lo, r_hi, degree)
+        keys, coef = _fit_split_coefficients(sol, r_lo, r_hi)
         S, lap_S = _split_field_and_laplacian(sol, keys, coef)
         S = S.reshape(dims)
         lap_S = lap_S.reshape(dims)
@@ -721,7 +718,7 @@ def compute_energy(sol: GridSolution) -> float:
     dims = sol.dims
     u = sol.values
     ndim = len(dims)
-    widths = [_cell_widths(a, half_start=(i == ndim - 1)) for i, a in enumerate(axes)]
+    widths = [_cell_widths(a) for a in axes]
     grids = np.meshgrid(*axes, indexing="ij")
 
     E = 0.0
@@ -754,12 +751,10 @@ def compute_energy(sol: GridSolution) -> float:
     inside = sum(g[tuple(sl0)] ** 2 for g in grids[:-1]) < 1.0
     pos = (plate_u > 0) & inside
     if ndim == 2:
-        wx = _cell_widths(axes[0], half_start=False)
-        measure_plate = float(np.sum(wx[pos]))
+        measure_plate = float(np.sum(_cell_widths(axes[0])[pos]))
     else:
-        wx1 = _cell_widths(axes[0], half_start=False)
-        wx2 = _cell_widths(axes[1], half_start=False)
-        measure_plate = float(np.sum(np.outer(wx1, wx2)[pos]))
+        plate = np.outer(_cell_widths(axes[0]), _cell_widths(axes[1]))
+        measure_plate = float(np.sum(plate[pos]))
     return float(E + (math.pi / 2.0) * measure_plate)
 
 

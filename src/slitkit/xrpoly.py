@@ -64,6 +64,16 @@ class XRPolynomial:
                 clean[key] = clean.get(key, Fraction(0)) + f
         self._c = {k: v for k, v in clean.items() if v != 0}
 
+    @classmethod
+    def _wrap(cls, n: int, coeffs: dict[Key, Fraction]) -> "XRPolynomial":
+        """Result of arithmetic on valid polynomials: the keys are already
+        clean and the values Fractions, so only zeros need dropping.
+        Skipping ``__init__``'s per-key checks keeps the exact sweeps fast."""
+        p = object.__new__(cls)
+        p.n = n
+        p._c = {k: v for k, v in coeffs.items() if v}
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -87,11 +97,6 @@ class XRPolynomial:
     @classmethod
     def r_var(cls, n: int) -> "XRPolynomial":
         return cls(n, {((0,) * n, 1): 1})
-
-    @classmethod
-    def from_x_coeffs(cls, n: int, coeffs: Mapping[MultiIndex, object]) -> "XRPolynomial":
-        """Lift a polynomial in x alone (no r dependence)."""
-        return cls(n, {(tuple(mu), 0): v for mu, v in coeffs.items()})
 
     # -- views --------------------------------------------------------
 
@@ -135,12 +140,12 @@ class XRPolynomial:
         c = dict(self._c)
         for k, v in other._c.items():
             c[k] = c.get(k, Fraction(0)) + v
-        return XRPolynomial(self.n, c)
+        return XRPolynomial._wrap(self.n, c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "XRPolynomial":
-        return XRPolynomial(self.n, {k: -v for k, v in self._c.items()})
+        return XRPolynomial._wrap(self.n, {k: -v for k, v in self._c.items()})
 
     def __sub__(self, other) -> "XRPolynomial":
         return self + (-other if isinstance(other, XRPolynomial) else -_frac(other))
@@ -151,7 +156,7 @@ class XRPolynomial:
     def __mul__(self, other) -> "XRPolynomial":
         if isinstance(other, (int, Fraction, str)):
             f = _frac(other)
-            return XRPolynomial(self.n, {k: v * f for k, v in self._c.items()})
+            return XRPolynomial._wrap(self.n, {k: v * f for k, v in self._c.items()})
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         c: dict[Key, Fraction] = {}
@@ -159,7 +164,7 @@ class XRPolynomial:
             for (mu2, m2), v2 in other._c.items():
                 key = (tuple(a + b for a, b in zip(mu1, mu2)), m1 + m2)
                 c[key] = c.get(key, Fraction(0)) + v1 * v2
-        return XRPolynomial(self.n, c)
+        return XRPolynomial._wrap(self.n, c)
 
     __rmul__ = __mul__
 
@@ -170,21 +175,18 @@ class XRPolynomial:
         for (mu, m), v in self._c.items():
             if mu[i] > 0:
                 c[(_bump(mu, i, -1), m)] = v * mu[i]
-        return XRPolynomial(self.n, c)
+        return XRPolynomial._wrap(self.n, c)
 
     def diff_r(self) -> "XRPolynomial":
         c = {}
         for (mu, m), v in self._c.items():
             if m > 0:
                 c[(mu, m - 1)] = v * m
-        return XRPolynomial(self.n, c)
+        return XRPolynomial._wrap(self.n, c)
 
     def truncate(self, k: int) -> "XRPolynomial":
         """Drop all monomials of total degree > k."""
-        return XRPolynomial(self.n, {km: v for km, v in self._c.items() if sum(km[0]) + km[1] <= k})
-
-    def homogeneous_part(self, deg: int) -> "XRPolynomial":
-        return XRPolynomial(self.n, {km: v for km, v in self._c.items() if sum(km[0]) + km[1] == deg})
+        return XRPolynomial._wrap(self.n, {km: v for km, v in self._c.items() if sum(km[0]) + km[1] <= k})
 
     def mul_r_power(self, p: int) -> "XRPolynomial":
         """Multiply by r**p (p may be negative if all r-powers allow it)."""
@@ -193,7 +195,7 @@ class XRPolynomial:
             if m + p < 0:
                 raise ValueError("negative r-power produced")
             c[(mu, m + p)] = v
-        return XRPolynomial(self.n, c)
+        return XRPolynomial._wrap(self.n, c)
 
     # -- evaluation ---------------------------------------------------
 
@@ -212,10 +214,6 @@ class XRPolynomial:
                 term = term * r**m
             total = total + term
         return total
-
-    def evaluate_frame(self, frame) -> float:
-        """Evaluate at the (x, r) data carried by a geometry Frame."""
-        return float(self.evaluate([float(c) for c in frame.x], float(frame.r)))
 
     def __str__(self) -> str:
         if not self._c:
@@ -237,11 +235,6 @@ class XRPolynomial:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def evaluate_u0p(P: XRPolynomial, frame) -> float:
-    """Value of U0 * P at a geometry frame."""
-    return float(frame.u0) * P.evaluate_frame(frame)
 
 
 # ----------------------------------------------------------------------
@@ -271,74 +264,67 @@ class LaplacianResult:
         """A_{sigma,l}: coefficient of x^sigma r^l in the bracket."""
         return self.total.coeff(sigma, l)
 
-    def table(self) -> dict[Key, Fraction]:
-        return dict(self.total.items())
+
+def edge_bracket(mu: MultiIndex, m: int, xpow, rpow, d, nu, lap_d, half):
+    """Bracket (r/U0) * Delta(U0 x^mu r^m) in any arithmetic of field values.
+
+    The pointwise identity, exact once d, nu and Delta d are exact:
+
+      (r/U0) Delta(U0 x^mu r^m) = sum_i mu_i(mu_i-1) x^(mu-2i) r^(m+1)
+          + m(m+1) x^mu r^(m-1)
+          + x^mu (r^m/2 + m d r^(m-1)) * (Delta d)
+          + (r^m + 2 m d r^(m-1)) * sum_i mu_i nu^i x^(mu-i)
+
+    ``xpow(mu)`` and ``rpow(j)`` return x^mu and r^j, ``nu`` is indexable
+    by component and ``half`` is 1/2 in the caller's arithmetic; only +,
+    * and integer scaling are applied, so the same code runs on exact jet
+    polynomials and on float node arrays.  Terms with a zero integer
+    factor are skipped: r^(m-1) is requested only for m != 0.
+
+    The curvature enters through Delta d = -kappa: the parallel surfaces
+    of a convex slit edge make U0 strictly superharmonic above it, which
+    fixes the sign (checked against finite differences).
+    """
+    x_mu, r_m = xpow(mu), rpow(m)
+    lap_w, grad_w = r_m * half, r_m
+    if m:
+        d_r = d * rpow(m - 1)
+        lap_w = lap_w + d_r * m
+        grad_w = grad_w + d_r * (2 * m)
+    out = x_mu * lap_w * lap_d
+    if m * (m + 1):
+        out = out + x_mu * rpow(m - 1) * (m * (m + 1))
+    for i, e in enumerate(mu):
+        if e > 1:
+            out = out + xpow(_bump(mu, i, -2)) * rpow(m + 1) * (e * (e - 1))
+        if e > 0:
+            out = out + grad_w * nu[i] * xpow(_bump(mu, i, -1)) * e
+    return out
+
+
+def poly_bracket(mu: MultiIndex, m: int, d: XRPolynomial, nu, lap_d: XRPolynomial,
+                 shift: int = 0) -> XRPolynomial:
+    """``edge_bracket`` on exact polynomials, times r**shift.
+
+    A positive ``shift`` lets m go negative while every requested power
+    r^j is stored as r^(j + shift) >= 0.
+    """
+    n = d.n
+    return edge_bracket(tuple(mu), m, lambda a: XRPolynomial.monomial(n, a, 0),
+                        lambda j: XRPolynomial.monomial(n, (0,) * n, j + shift),
+                        d, nu, lap_d, Fraction(1, 2))
 
 
 def flat_principal(n: int, mu: MultiIndex, m: int) -> XRPolynomial:
-    """Flat-interface bracket of Delta(U0 x^mu r^m), valid for any integer m.
+    """Flat-interface bracket of Delta(U0 x^mu r^m), valid for m >= -1.
 
-    The closed form m(m+1+2*mu_n) persists for m = -1 because the
-    2D radial identity only involves m(m+1).
+    The flat edge has d = x_n, nu = e_n and Delta d = 0.  The bracket is
+    formed at r-shift 2 and shifted back, so a negative r-power in the
+    result (e.g. mu_n > 0 at m = -1) raises ValueError.
     """
-    mu = tuple(mu)
-    c: dict[Key, Fraction] = {}
-
-    def add(mmu, mm, val):
-        if val == 0:
-            return
-        if mm < 0 or any(e < 0 for e in mmu):
-            raise ValueError(f"flat table produced negative power for mu={mu}, m={m}")
-        key = (mmu, mm)
-        c[key] = c.get(key, Fraction(0)) + Fraction(val)
-
-    add(mu, m - 1, m * (m + 1 + 2 * mu[n - 1]))
-    if mu[n - 1] > 0:
-        add(_bump(mu, n - 1, -1), m, mu[n - 1])
-    for i in range(n):
-        if mu[i] > 1:
-            add(_bump(mu, i, -2), m + 1, mu[i] * (mu[i] - 1))
-    return XRPolynomial(n, c)
-
-
-def _exact_bracket(mu: MultiIndex, m: int, jet) -> XRPolynomial:
-    """Bracket of Delta(U0 x^mu r^m) with the jet polynomials substituted.
-
-    Uses the pointwise identity (exact once d, nu, Delta d are exact):
-
-      Delta(x^mu r^m U0) = (U0/r) [ sum_i mu_i(mu_i-1) x^(mu-2i) r^(m+1)
-          + m(m+1) x^mu r^(m-1)
-          + x^mu (r^m/2 + m d r^(m-1)) * (Delta d)
-          + (r^m + 2 m d r^(m-1)) * sum_i mu_i nu^i x^(mu-i) ]
-
-    Note the curvature enters through Delta d = -kappa: the parallel
-    surfaces of a convex slit edge make U0 strictly superharmonic above
-    it, which fixes the sign (checked against finite differences).
-    """
-    n = jet.n
-    mu = tuple(mu)
-    out = XRPolynomial.zero(n)
-    for i in range(n):
-        if mu[i] > 1:
-            out = out + XRPolynomial.monomial(n, _bump(mu, i, -2), m + 1, mu[i] * (mu[i] - 1))
-    if m * (m + 1) != 0:
-        out = out + XRPolynomial.monomial(n, mu, m - 1, m * (m + 1))
-
-    x_mu = XRPolynomial.monomial(n, mu, 0)
-    r_m = XRPolynomial.monomial(n, (0,) * n, m)
-    delta_d = -jet.kappa  # Delta d = -kappa exactly
-    kap_weight = x_mu * Fraction(1, 2) * r_m
-    if m != 0:
-        kap_weight = kap_weight + x_mu * jet.d * XRPolynomial.monomial(n, (0,) * n, m - 1, m)
-    out = out + kap_weight * delta_d
-
-    grad_weight = r_m
-    if m != 0:
-        grad_weight = grad_weight + jet.d * XRPolynomial.monomial(n, (0,) * n, m - 1, 2 * m)
-    for i in range(n):
-        if mu[i] > 0:
-            out = out + grad_weight * jet.nu[i] * XRPolynomial.monomial(n, _bump(mu, i, -1), 0, mu[i])
-    return out
+    nu = [XRPolynomial.zero(n)] * (n - 1) + [XRPolynomial.constant(n, 1)]
+    return poly_bracket(mu, m, XRPolynomial.x_var(n, n - 1), nu, XRPolynomial.zero(n),
+                        shift=2).mul_r_power(-2)
 
 
 def laplacian_monomial(mu: Iterable[int], m: int, jet, k: int) -> LaplacianResult:
@@ -349,9 +335,8 @@ def laplacian_monomial(mu: Iterable[int], m: int, jet, k: int) -> LaplacianResul
     principal = flat_principal(jet.n, mu, m)
     if jet.is_flat:
         return LaplacianResult(principal, XRPolynomial.zero(jet.n), math.inf)
-    curved_full = _exact_bracket(mu, m, jet) - principal
-    curved = curved_full.truncate(k)
-    return LaplacianResult(principal, curved, k + 1)
+    curved = poly_bracket(mu, m, jet.d, jet.nu, -jet.kappa) - principal
+    return LaplacianResult(principal, curved.truncate(k), k + 1)
 
 
 def laplacian_of_product(P: XRPolynomial, jet, k: int) -> LaplacianResult:

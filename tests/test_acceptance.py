@@ -3,7 +3,8 @@
 Each test prints a single "criterion N: PASS/FAIL" line (visible with
 pytest -s or on failure) and asserts the stated pass condition at the
 stated tolerance.  Criteria 3, 4, and 8 share one large curved solve
-(193 x 193 x 97 graded grid), built once per module.
+(193 x 193 x 97 graded grid), built once per module; they are marked
+``slow``, so ``-m "not slow"`` skips that solve.
 """
 
 import itertools
@@ -45,6 +46,8 @@ from slitkit import (
     whitney_extend,
 )
 from slitkit.xrpoly import laplacian_of_product
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -120,6 +123,7 @@ class TestCriterion2:
 
 
 class TestCriterion3:
+    @pytest.mark.slow
     def test_decay_rate_curved(self, curved_run):
         sol = curved_run["sol"]
         scales = [2.0**-j for j in range(1, 6)]
@@ -135,6 +139,7 @@ class TestCriterion3:
 
 
 class TestCriterion4:
+    @pytest.mark.slow
     def test_gradient_estimate(self, curved_run):
         sol = curved_run["sol"]
         scales = [2.0**-j for j in range(1, 6)]
@@ -218,6 +223,7 @@ class TestCriterion7:
 
 
 class TestCriterion8:
+    @pytest.mark.slow
     def test_quotient_regularity(self, curved_run):
         sol = curved_run["sol"]
         w = quotient(sol, 0)

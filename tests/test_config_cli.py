@@ -31,6 +31,11 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig.from_yaml("kind: solve\nbogus: 1\n")
 
+    def test_removed_fields_rejected(self):
+        for field in ("tolerance: 1.0e-8", "seed: 0"):
+            with pytest.raises(ConfigInvalid):
+                ExperimentConfig.from_yaml(f"kind: solve\n{field}\n")
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(kind="frobnicate")

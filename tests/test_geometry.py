@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slitkit import (
+    NonConvergence,
     OutOfDomain,
+    SlitGeometry,
     closest_point_frame,
     flat_frame,
     flat_geometry,
@@ -95,6 +97,14 @@ class TestClosestPoint:
             fr = closest_point_frame(geom, x, z)
             assert out["d"][i] == pytest.approx(fr.d, abs=1e-11)
             assert out["u0"][i] == pytest.approx(fr.u0, abs=1e-11)
+
+    def test_frame_fields_raises_when_newton_fails(self):
+        def nan(t):
+            return np.nan * np.asarray(t)
+
+        geom = SlitGeometry(n=2, g=nan, dg=nan, d2g=nan)
+        with pytest.raises(NonConvergence):
+            frame_fields(geom, [(0.1, 0.2)], [0.1])
 
 
 class TestJets:

@@ -8,18 +8,23 @@ import pytest
 
 from slitkit import (
     DegenerateWeight,
+    GridSolution,
+    QuotientField,
     XRPolynomial,
     YPolynomial,
     constant_T,
+    fit_quotient_expansion,
     flat_geometry,
     flat_jet,
     gamma_jet,
+    neumann_rate,
     quotient,
     solve_fd,
     solve_pair_systems,
     t_nu_on_edge,
     weighted_laplacian_bracket,
 )
+from slitkit.solver import make_axes
 
 T_SYM = sp.symbols("t")
 
@@ -211,3 +216,25 @@ class TestQuotient:
         tr, dn = w.trace_and_normal(np.zeros(1))
         assert abs(tr - 1.0) < 1e-8
         assert abs(dn) < 1e-6
+
+
+class TestQuotientRates:
+    def test_rate_about_off_origin_edge_point(self):
+        # w = 1 + (x1 - 1/4)/2 + r/4 is a degree-1 polynomial in x - Z
+        # at Z = (1/4, 0): the fit recovers it and the sup errors of
+        # w - T0 sit at rounding level on every ball around Z
+        h = 1 / 32
+        axes = make_axes(2, h)
+        dims = tuple(len(a) for a in axes)
+        outer = sum(g**2 for g in np.meshgrid(*axes, indexing="ij")) >= 1.0
+        sol = GridSolution(geom=flat_geometry(2), axes=axes, values=np.zeros(dims),
+                           slit_mask=np.zeros(dims, bool), dirichlet_mask=outer, h=h)
+        fr = sol.node_frames()
+        vals = 1.0 + 0.5 * (fr["x"][:, 0] - 0.25) + 0.25 * fr["r"]
+        w = QuotientField(u=sol, i=0, values=vals.reshape(dims), valid=~outer)
+        Z = np.array([0.25, 0.0])
+        T0 = fit_quotient_expansion(w, Z, degree=1, rmax=0.5)
+        assert float(T0.coeff((1, 0), 0)) == pytest.approx(0.5, abs=1e-12)
+        assert float(T0.coeff((0, 0), 1)) == pytest.approx(0.25, abs=1e-12)
+        rep = neumann_rate(w, T0, Z, [0.5, 0.42, 0.35, 0.3], target=2.0)
+        assert rep.errors.max() < 1e-12
