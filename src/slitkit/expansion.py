@@ -56,11 +56,14 @@ class RateReport:
                 and self.residual <= self.residual_limit)
 
     def to_csv(self) -> str:
+        def fmt(*values):
+            return ",".join(repr(float(v)) for v in values)
+
         lines = ["scale,sup_error"]
         for s, e in zip(self.scales, self.errors):
-            lines.append(f"{s!r},{e!r}")
+            lines.append(fmt(s, e))
         lines.append("fitted_exponent,target,residual,pass")
-        lines.append(f"{self.exponent!r},{self.target!r},{self.residual!r},{self.passed}")
+        lines.append(f"{fmt(self.exponent, self.target, self.residual)},{self.passed}")
         return "\n".join(lines) + "\n"
 
 

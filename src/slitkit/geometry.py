@@ -7,9 +7,9 @@ to the interface edge, the cone radius r = sqrt(d^2 + x_{n+1}^2), the
 angle theta, the edge profile u0 = sqrt((d + r)/2) = r^(1/2) cos(theta/2)
 and the horizontal unit normal nu = grad d.
 
-Jets of d, nu and the mean curvature about the origin are produced
-symbolically and delivered as exact rational polynomials so that the
-Laplacian table stays exact.
+Jets of d, nu and the mean curvature about the origin are computed by
+Newton iteration on truncated series in exact rational polynomial
+arithmetic, so that the Laplacian table stays exact.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .errors import NonConvergence, OutOfDomain
 from .xrpoly import XRPolynomial
@@ -54,16 +53,9 @@ def flat_geometry(n: int) -> SlitGeometry:
 
 def parabola_geometry(a) -> SlitGeometry:
     """n = 2 geometry with parabolic edge graph x_2 = a x_1^2."""
-    s = sp.Symbol("t")
-    return from_symbolic(2, sp.nsimplify(a, rational=True) * s**2, s)
-
-
-def from_symbolic(n: int, expr, var) -> SlitGeometry:
-    """Build an n = 2 geometry from a sympy expression g(x')."""
-    if n != 2:
-        raise ValueError("symbolic graphs are for n = 2")
-    g, dg, d2g = (sp.lambdify(var, sp.diff(expr, var, j), "numpy") for j in range(3))
-    return SlitGeometry(n=n, g=g, dg=dg, d2g=d2g)
+    a_f = float(a)
+    return SlitGeometry(n=2, g=lambda t: a_f * t**2, dg=lambda t: 2 * a_f * t,
+                        d2g=lambda t: 2 * a_f)
 
 
 @dataclass(frozen=True)
@@ -251,136 +243,104 @@ def flat_jet(n: int, order: int = 8) -> GammaJet:
                     kappa=XRPolynomial.zero(n), is_flat=True)
 
 
-def _series_to_xr(expr, xs, order: int, n: int) -> XRPolynomial:
-    """Truncate a sympy expression to a rational polynomial jet."""
-    poly = sp.expand(expr)
-    coeffs = {}
-    for mu_total in range(order + 1):
-        for a in range(mu_total + 1):
-            mu = (a, mu_total - a) if n == 2 else (mu_total,)
-            c = poly
-            for xi, e in zip(xs, mu):
-                c = c.coeff(xi, e)
-            for xi in xs:
-                c = c.subs(xi, 0)
-            c = sp.nsimplify(sp.simplify(c), rational=True)
-            if c != 0:
-                coeffs[(mu, 0)] = Fraction(int(sp.fraction(c)[0]), int(sp.fraction(c)[1]))
-    return XRPolynomial(n, coeffs)
+def _graph_coeffs(g_expr) -> list[Fraction]:
+    """Rational Taylor coefficients g_0, g_1, ... of the edge graph.
 
-
-_X1, _X2, _T = sp.symbols("x1 x2 t")
-
-
-def _foot_series(g_expr, order: int, steps: int):
-    """Edge graph g(t) and the closest-point parameter t(x) as a series.
-
-    Newton iteration on the truncated series of
-    (t - x_1) + (g(t) - x_2) g'(t) = 0, starting from t = x_1, with
-    ``steps`` iterations and truncation at total degree ``order``.
+    ``g_expr`` is a string or a sympy expression in one free symbol.
+    This is the only use of sympy: it parses the graph and nothing else.
     """
-    xs = (_X1, _X2)
+    import sympy as sp
+
     g = sp.sympify(g_expr)
     var = sorted(g.free_symbols, key=str)
-    if var:
-        g = g.subs(var[0], _T)
-    if sp.simplify(g.subs(_T, 0)) != 0 or sp.simplify(sp.diff(g, _T).subs(_T, 0)) != 0:
+    try:
+        poly = sp.Poly(g, var[0] if var else sp.Symbol("t"))
+    except sp.PolynomialError as exc:
+        raise ValueError(f"edge graph {g_expr!r} is not a polynomial") from exc
+    coeffs = []
+    for c in reversed(poly.all_coeffs()):
+        c = sp.nsimplify(c, rational=True)
+        if not c.is_Rational:
+            raise ValueError(f"edge graph coefficient {c} is not rational")
+        coeffs.append(Fraction(int(c.p), int(c.q)))
+    if any(coeffs[:2]):
         raise ValueError("edge graph must satisfy g(0) = 0, g'(0) = 0")
-    F = (_T - _X1) + (g - _X2) * sp.diff(g, _T)
-    ts = _X1
+    return coeffs
+
+
+def _derivative(coeffs: list[Fraction]) -> list[Fraction]:
+    return [j * c for j, c in enumerate(coeffs)][1:]
+
+
+def _compose(coeffs: list[Fraction], t: XRPolynomial, order: int) -> XRPolynomial:
+    """sum_j coeffs[j] t^j by Horner, truncated at total degree ``order``."""
+    out = XRPolynomial.zero(t.n)
+    for c in reversed(coeffs):
+        out = (out * t + c).truncate(order)
+    return out
+
+
+def _binomial_series(s: XRPolynomial, alpha: Fraction, order: int) -> XRPolynomial:
+    """(1 + s)^alpha through total degree ``order`` for s(0) = 0; alpha = -1
+    gives the geometric series of 1/(1 + s)."""
+    out = spow = XRPolynomial.constant(s.n, 1)
+    coeff = Fraction(1)
+    for j in range(1, order + 1):
+        coeff = coeff * (alpha - (j - 1)) / j
+        spow = (spow * s).truncate(order)
+        if spow.is_zero():
+            break
+        out = out + coeff * spow
+    return out
+
+
+def _foot_series(g: list[Fraction], order: int, steps: int) -> XRPolynomial:
+    """Closest-point parameter t(x) of the edge x_2 = g(x_1) as a series.
+
+    Newton iteration on the truncated series of
+    F(t) = (t - x_1) + (g(t) - x_2) g'(t) = 0, starting from t = x_1, with
+    ``steps`` iterations and truncation at total degree ``order``.
+    """
+    dg = _derivative(g)
+    d2g = _derivative(dg)
+    x1, x2 = XRPolynomial.x_var(2, 0), XRPolynomial.x_var(2, 1)
+    t = x1
     for _ in range(steps):
-        Ft = F.subs(_T, ts)
-        dFt = sp.diff(F, _T).subs(_T, ts)
-        ts = _trunc_poly(sp.expand(ts - sp.expand(Ft) * _series_inverse(dFt, xs, order)),
-                         xs, order)
-    return g, ts
+        gt, dgt, d2gt = (_compose(c, t, order) for c in (g, dg, d2g))
+        F = ((t - x1) + (gt - x2) * dgt).truncate(order)
+        # F'(t) = 1 + g'(t)^2 + (g(t) - x_2) g''(t) is 1 at the origin
+        dF1 = (dgt * dgt + (gt - x2) * d2gt).truncate(order)
+        t = (t - F * _binomial_series(dF1, Fraction(-1), order)).truncate(order)
+    return t
 
 
-def gamma_jet(g_expr, order: int, n: int = 2) -> GammaJet:
+def gamma_jet(g_expr, order: int) -> GammaJet:
     """Jet of the signed distance frame for the n = 2 edge x_2 = g(x_1).
 
     Works about the origin (g(0) = 0, g'(0) = 0).  The closest-point
     parameter t(x) comes from ``_foot_series`` through degree order + 1,
     then everything else follows from d = sign * |x - (t, g(t))|.
     """
-    if n != 2:
-        raise ValueError("jets of curved edges need n = 2")
-    xs = (_X1, _X2)
-    g, ts = _foot_series(g_expr, order + 1, max(3, order.bit_length() + 2))
-
-    def trunc(e):
-        return _trunc_poly(e, xs, order + 1)
-
-    gt = trunc(g.subs(_T, ts))
-    dgt = trunc(sp.diff(g, _T).subs(_T, ts))
+    g = _graph_coeffs(g_expr)
+    k = order + 1
+    t = _foot_series(g, k, max(3, order.bit_length() + 2))
+    gt = _compose(g, t, k)
+    dgt = _compose(_derivative(g), t, k)
     # d^2 = (x1 - t)^2 + (x2 - gt)^2 and x1 - t = -(x2 - gt) * dgt, so
     # d = (x2 - gt) * sqrt(1 + dgt^2), positive on the +e_2 side.
-    sqrt_series = _sqrt1p_series(trunc(sp.expand(dgt**2)), xs, order + 1)
-    d_series = trunc(sp.expand((_X2 - gt) * sqrt_series))
-
+    root = _binomial_series((dgt * dgt).truncate(k), Fraction(1, 2), k)
+    d = ((XRPolynomial.x_var(2, 1) - gt) * root).truncate(k)
     # nu = grad d and kappa = -Laplacian(d), differentiating the series
-    nu1 = trunc(sp.diff(d_series, _X1))
-    nu2 = trunc(sp.diff(d_series, _X2))
-    kappa = trunc(-(sp.diff(d_series, _X1, 2) + sp.diff(d_series, _X2, 2)))
-
-    return GammaJet(
-        n=2, order=order,
-        d=_series_to_xr(d_series, xs, order + 1, 2),
-        nu=[_series_to_xr(nu1, xs, order, 2), _series_to_xr(nu2, xs, order, 2)],
-        kappa=_series_to_xr(kappa, xs, order, 2),
-        is_flat=False,
-    )
+    nu = [d.diff_x(0).truncate(order), d.diff_x(1).truncate(order)]
+    kappa = -(nu[0].diff_x(0) + nu[1].diff_x(1))
+    return GammaJet(n=2, order=order, d=d, nu=nu, kappa=kappa, is_flat=False)
 
 
-def foot_jet(g_expr, order: int) -> "XRPolynomial":
+def foot_jet(g_expr, order: int) -> XRPolynomial:
     """Closest-point parameter t(x) of the n = 2 edge as an x-series.
 
     The same Newton-on-series construction as gamma_jet; returns the jet
     of the edge-flattening tangential coordinate y_1 = t (an r-free
     polynomial), exact through total degree ``order``.
     """
-    _, ts = _foot_series(g_expr, order, max(3, order.bit_length() + 2))
-    return _series_to_xr(ts, (_X1, _X2), order, 2)
-
-
-def _series_inverse(e, xs, order):
-    """1/e as a truncated series; e must have nonzero constant term."""
-    x1, x2 = xs
-    e = sp.expand(e)
-    c0 = e.subs({x1: 0, x2: 0})
-    if c0 == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    u = sp.expand(e / c0 - 1)
-    inv = sp.Integer(0)
-    upow = sp.Integer(1)
-    for j in range(order + 1):
-        inv += (-1) ** j * upow
-        upow = _trunc_poly(sp.expand(upow * u), xs, order)
-    return sp.expand(inv / c0)
-
-
-def _trunc_poly(p, xs, order):
-    x1, x2 = xs
-    out = sp.Integer(0)
-    p = sp.expand(p)
-    for tot in range(order + 1):
-        for a in range(tot + 1):
-            c = p.coeff(x1, a).coeff(x2, tot - a).subs({x1: 0, x2: 0})
-            if c != 0:
-                out += c * x1**a * x2 ** (tot - a)
-    return out
-
-
-def _sqrt1p_series(s, xs, order):
-    """sqrt(1 + s) for a series s with s(0) = 0, via the binomial series."""
-    out = sp.Integer(1)
-    spow = sp.Integer(1)
-    half = sp.Rational(1, 2)
-    coeff = sp.Integer(1)
-    for j in range(1, order + 1):
-        coeff = coeff * (half - (j - 1)) / j
-        spow = _trunc_poly(sp.expand(spow * s), xs, order)
-        if spow == 0:
-            break
-        out += coeff * spow
-    return _trunc_poly(sp.expand(out), xs, order)
+    return _foot_series(_graph_coeffs(g_expr), order, max(3, order.bit_length() + 2))

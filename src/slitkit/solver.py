@@ -425,17 +425,19 @@ class _FVSystem:
         if self._ml is None:
             try:
                 import pyamg
-
-                self._ml = pyamg.smoothed_aggregation_solver(self.A, max_coarse=500)
-            except Exception:
+            except ImportError:
                 self._ml = "diag"
+            else:
+                self._ml = pyamg.smoothed_aggregation_solver(self.A, max_coarse=500)
         M = (sparse.diags(1.0 / self.A.diagonal()) if self._ml == "diag"
              else self._ml.aspreconditioner())
         bnorm = np.linalg.norm(b)
         x, info = spla.cg(self.A, b, rtol=tol, atol=tol * max(bnorm, 1.0),
                           maxiter=2000, M=M, x0=x0)
         if info != 0:
-            raise NonConvergence(f"conjugate gradients stalled (info={info})")
+            resid = np.linalg.norm(b - self.A @ x) / max(bnorm, 1e-300)
+            raise NonConvergence(f"conjugate gradients stalled (info={info}, "
+                                 f"relative residual {resid:.2e})")
         return x
 
 
@@ -843,26 +845,19 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8,
         A = sparse.coo_matrix((vals, (rows, cols)), shape=(nun, nun)).tocsr()
         return A, b
 
-    def fit_tip(uflat, r_lo, r_hi, basis_rich=True):
-        r = rgt[ii]
-        d = dgt[ii]
-        w0 = u0g[ii]
+    def tip(uflat, r_lo, r_hi):
+        """Coefficient of U0 in the fit uflat ~ U0 (c + c_d d + c_r r)."""
+        r, d, w0 = rgt[ii], dgt[ii], u0g[ii]
         sel = (r >= r_lo) & (r <= r_hi) & (w0 > 0)
-        cols_ = [np.ones(sel.sum())]
-        if basis_rich:
-            cols_ += [d[sel], r[sel]]
-        B = np.stack(cols_, axis=1) * w0[sel][:, None]
-        coefs, *_ = np.linalg.lstsq(B, uflat[sel], rcond=None)
-        return coefs
+        return float(_lstsq_poly(1, 1, d[sel][:, None], r[sel], uflat[sel], scale=w0[sel])[1][0])
 
     A, b = assemble()
     u = spla.spsolve(A.tocsc(), b)
     if not split:
-        coefs = fit_tip(u, 4 * h, 32 * h)
-        return float(coefs[0]), (xs, ys, _scatter(u, idx, nx, ny))
+        return tip(u, 4 * h, 32 * h), (xs, ys, _scatter(u, idx, nx, ny))
 
     r_lo, r_hi = max(0.02, 6 * h), 0.08
-    c = float(fit_tip(u, r_lo, max(r_hi, 2.5 * r_lo))[0])
+    c = tip(u, r_lo, max(r_hi, 2.5 * r_lo))
     a_cut = min(0.125, (1.0 - abs(gamma)) / 3.0)
     b_cut = 2.0 * a_cut
 
@@ -882,8 +877,7 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8,
     A2, b2 = assemble(boundary_shift=S_at, rhs_field=lap_S)
     v = spla.spsolve(A2.tocsc(), b2)
     uf = v + S[ii]
-    coefs = fit_tip(uf, 4 * h, 24 * h)
-    return float(coefs[0]), (xs, ys, _scatter(uf, idx, nx, ny))
+    return tip(uf, 4 * h, 24 * h), (xs, ys, _scatter(uf, idx, nx, ny))
 
 
 def _scatter(u, idx, nx, ny):

@@ -66,6 +66,17 @@ class TestRateReport:
         assert "fitted_exponent" in txt
         assert txt.strip().endswith("True")
 
+    def test_csv_values_parse_as_floats(self):
+        # numpy scalars must not leak their repr (np.float64(...)) into the file
+        rep = self._mk(np.array([0.1, 0.05, 0.025, 0.0125, 0.00625]),
+                       exponent=np.float64(1.0), residual=np.float64(0.01))
+        rows = [line.split(",") for line in rep.to_csv().splitlines()]
+        assert rows[0] == ["scale", "sup_error"] and rows[-2][-1] == "pass"
+        cells = [c for row in rows[1:-2] for c in row] + rows[-1][:3]
+        assert len(cells) == 13
+        for c in cells:
+            float(c)
+
 
 class TestSeriesRates:
     def test_exact_tangent_gives_exact_report(self):

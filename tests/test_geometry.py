@@ -1,7 +1,11 @@
 """Frames and jets of the slit edge geometry."""
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +16,12 @@ from slitkit import (
     NonConvergence,
     OutOfDomain,
     SlitGeometry,
+    XRPolynomial,
     closest_point_frame,
     flat_frame,
     flat_geometry,
     flat_jet,
+    foot_jet,
     frame_fields,
     gamma_jet,
     parabola_geometry,
@@ -160,3 +166,30 @@ class TestJets:
             gamma_jet("t + t**2", order=3)
         with pytest.raises(ValueError):
             gamma_jet("1 + t**2", order=3)
+        with pytest.raises(ValueError):
+            gamma_jet("1 - cos(t)", order=3)
+        with pytest.raises(ValueError):
+            foot_jet("sqrt(2)*t**2", order=3)
+
+    def test_matches_reference_jets(self):
+        # exact jets recorded from the earlier sympy series implementation
+        ref = json.loads((Path(__file__).parent / "data" / "jets.json").read_text())
+
+        def poly(entries):
+            return XRPolynomial(2, {((i, j), m): F(c) for i, j, m, c in entries})
+
+        for case in ref["gamma_jet"]:
+            j = gamma_jet(case["g"], case["order"])
+            assert j.d == poly(case["d"]), case["g"]
+            assert j.nu == [poly(v) for v in case["nu"]], case["g"]
+            assert j.kappa == poly(case["kappa"]), case["g"]
+        for case in ref["foot_jet"]:
+            assert foot_jet(case["g"], case["order"]) == poly(case["t"]), case["g"]
+
+    def test_import_leaves_sympy_out(self):
+        # sympy only parses edge graphs, so importing the package must not load it
+        import slitkit
+
+        src = str(Path(slitkit.__file__).resolve().parents[1])
+        code = "import sys; import slitkit; sys.exit('sympy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0

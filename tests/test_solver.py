@@ -1,11 +1,14 @@
 """Series, finite-difference, barrier, and energy solver tests."""
 import math
+import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from slitkit.errors import TruncationWarning
+from slitkit import solver
+from slitkit.errors import NonConvergence, TruncationWarning
 from slitkit.geometry import flat_geometry, parabola_geometry
 from slitkit.solver import (
     GridSolution,
@@ -145,6 +148,30 @@ class TestGrids:
     def test_unknown_grading_rejected(self):
         with pytest.raises(ValueError):
             make_axes(1, 2**-4, {"p": 2.0})
+
+
+class TestLinearSolve:
+    # flat n = 2 at h = 1/24 has more unknowns than the 25k direct-solve limit
+    def _solve(self):
+        return solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 24)
+
+    def test_amg_setup_failure_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("AMG setup failed")
+
+        fake = types.ModuleType("pyamg")
+        fake.smoothed_aggregation_solver = broken
+        monkeypatch.setitem(sys.modules, "pyamg", fake)
+        with pytest.raises(RuntimeError, match="AMG setup failed"):
+            self._solve()
+
+    def test_stalled_cg_reports_residual(self, monkeypatch):
+        spla = types.SimpleNamespace(**vars(solver.spla))
+        spla.cg = lambda A, b, **kw: (np.zeros_like(b), 2000)
+        monkeypatch.setattr(solver, "spla", spla)
+        monkeypatch.setitem(sys.modules, "pyamg", None)
+        with pytest.raises(NonConvergence, match=r"info=2000, relative residual 1\.00e\+00"):
+            self._solve()
 
 
 class TestBarrier:
