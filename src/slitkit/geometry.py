@@ -219,12 +219,15 @@ def frame_fields(geom: SlitGeometry, X, Z):
 
 @dataclass
 class GammaJet:
-    """Taylor data of the edge frame about the origin, to total degree k.
+    """Taylor data of the edge frame about the origin, to total degree ``order``.
 
     ``d`` is the jet of the signed distance, ``nu`` the jets of its
     gradient components, ``kappa`` the jet of the in-plane mean
     curvature of the parallel level sets; the distance satisfies
-    Laplacian(d) = -kappa exactly along the jet.
+    Laplacian(d) = -kappa exactly along the jet.  ``kappa`` is minus the
+    divergence of the degree-``order`` nu jets, so it stops at degree
+    order - 1: a bracket of Delta(U0 P) that must be exact through
+    degree k needs ``order >= k + 1``.
     """
 
     n: int

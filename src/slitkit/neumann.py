@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import DegenerateWeight, SingularSystem
 from .expansion import RateReport, _node_samples, _poly_from_coeffs, _sup_rates, evaluate_poly
-from .geometry import GammaJet
+from .geometry import GammaJet, flat_jet
 from .solver import GridSolution, _lstsq_poly
 from .whitney import YPolynomial
-from .xrpoly import XRPolynomial, poly_bracket
+from .xrpoly import XRPolynomial, _jet_terms, _sweep, poly_bracket
 
 __all__ = [
     "QuotientField", "NeumannPair", "quotient", "constant_T", "t_nu_on_edge",
@@ -47,10 +47,10 @@ def weighted_laplacian_bracket(V: XRPolynomial, jet: GammaJet,
     Each monomial x^mu r^m contributes r^2 times the bracket of
     Delta(U0 x^mu r^(m-1)).
     """
-    lap_d = -jet.kappa
+    d, nu, lap_d = (jet.d, jet.nu, -jet.kappa) if degree is None else _jet_terms(jet, degree)
     out = XRPolynomial.zero(V.n)
     for (mu, m), v in V.items():
-        out = out + v * poly_bracket(mu, m - 1, jet.d, jet.nu, lap_d, shift=2)
+        out = out + v * poly_bracket(mu, m - 1, d, nu, lap_d, shift=2)
     return out if degree is None else out.truncate(degree)
 
 
@@ -70,59 +70,19 @@ def constant_T(n: int, k: int, q: dict | None = None,
     plus the edge Neumann condition b_{(sigma',0),1} = -b_{(sigma',1),0}.
     Free data: ``q`` maps x'-multi-indices (mu_n = 0) to q_mu, and
     ``free_b1`` maps multi-indices with mu_n != 0 to b_{mu,1} (default
-    zero).  Total degree of T is bounded by k + 2.
+    zero).  Total degree of T is bounded by k + 2.  This is the flat
+    pair solve with the constant weight 1/2: T = Q + 2 r P.
     """
     q = {} if q is None else q
     free_b1 = {} if free_b1 is None else free_b1
-    deg = k + 2
-    b: dict[tuple, Fraction] = {}
-    for mu, v in q.items():
-        mu = tuple(mu)
-        if mu[n - 1] != 0:
-            raise ValueError("q lives on x'-multi-indices (mu_n = 0)")
-        if sum(mu) <= deg:
-            b[(mu, 0)] = Fraction(v)
-    for mu, v in free_b1.items():
-        mu = tuple(mu)
-        if mu[n - 1] == 0:
-            raise ValueError("free b_{mu,1} requires mu_n != 0")
-        if sum(mu) + 1 <= deg:
-            b[(mu, 1)] = Fraction(v)
-    # x_n-linear inputs default to zero; the Neumann condition then
-    # pins the remaining r-linear layer
-    for (mu, m), v in list(b.items()):
-        if m == 0 and mu[n - 1] == 0:
-            key = (mu, 1)
-            b.setdefault(key, Fraction(0))
-    for key in list(b):
-        mu, m = key
-        if m == 0 and mu[n - 1] == 1:
-            sp = list(mu)
-            sp[n - 1] = 0
-            b[(tuple(sp), 1)] = b.get((tuple(sp), 1), Fraction(0)) - b[key]
-
-    def get(sigma, l):
-        return b.get((tuple(sigma), l), Fraction(0))
-
-    import itertools
-
-    for D in range(deg + 1):
-        for l in range(0, D - 1):
-            # determine b_{sigma, l+2} with |sigma| = D - l - 2
-            for sigma in itertools.product(range(D + 1), repeat=n):
-                if sum(sigma) != D - l - 2:
-                    continue
-                acc = Fraction(0)
-                up = list(sigma)
-                up[n - 1] += 1
-                acc += (sigma[n - 1] + 1) * get(up, l + 1)
-                for i in range(n):
-                    up2 = list(sigma)
-                    up2[i] += 2
-                    acc += (sigma[i] + 1) * (sigma[i] + 2) * get(up2, l)
-                piv = (l + 1) * (l + 2 + 2 * sigma[n - 1])
-                b[(tuple(sigma), l + 2)] = -acc / piv
-    return XRPolynomial(n, {key: v for key, v in b.items() if v != 0})
+    if any(mu[n - 1] != 0 for mu in q):
+        raise ValueError("q lives on x'-multi-indices (mu_n = 0)")
+    if any(mu[n - 1] == 0 for mu in free_b1):
+        raise ValueError("free b_{mu,1} requires mu_n != 0")
+    Q = YPolynomial(n, {tuple(mu): Fraction(v) for mu, v in q.items() if sum(mu) <= k + 2})
+    half_b1 = {tuple(mu): Fraction(v) / 2 for mu, v in free_b1.items() if sum(mu) + 1 <= k + 2}
+    P = solve_pair_systems(flat_jet(n, k + 4), Q, k, free_b1=half_b1).P
+    return _q_to_xr(Q, None, k + 2) + 2 * P.mul_r_power(1)
 
 
 def t_nu_on_edge(T: XRPolynomial) -> XRPolynomial:
@@ -208,8 +168,9 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     degree k+1 pins the r-free layer with mu_n = 0 (free inputs supply
     the mu_n != 0 entries), and the vanishing of the weighted Laplacian
     bracket of V = N E(Q) + r P through degree k+2 pins each a_{sigma,l}
-    (l >= 1) via the pivot l(l+1+2 sigma_n).  Curved jet terms couple
-    only to strictly lower degrees, so an ascending sweep is exact.
+    (l >= 1) by the triangular sweep of ``solve_approximating``.  Curved
+    jet terms couple only to strictly lower degrees, so an ascending
+    sweep is exact.
     """
     n = jet.n
     deg = k + 1
@@ -226,25 +187,13 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
             raise ValueError("free a_{mu,0} requires mu_n != 0")
         a[(mu, 0)] = Fraction(v)
 
-    # edge condition: P(x(t), 0) = 0 through degree k+1.  On the edge
-    # x = (t, g(t)): substitute the graph into the r-free part.
-    import itertools
-
-    if jet.is_flat:
-        for j in range(deg + 1):
-            mu = [0] * n
-            mu[0] = j
-            if n == 1:
-                mu = [0]
-            a.setdefault((tuple(mu), 0), Fraction(0))
-            # flat edge is x_n = 0: only mu_n = 0 terms survive, and
-            # they must vanish identically
-            a[(tuple(mu), 0)] = Fraction(0)
-    else:
-        # edge graph series g(t) = sum_j edge[j] t^j supplied by the
-        # caller (edge[0] = edge[1] = 0 by normalization); the condition
-        # P((t, g(t)), 0) = 0 through degree k+1 is solved coefficient
-        # by coefficient over the rationals
+    # edge condition: P(x(t), 0) = 0 through degree k+1.  The flat edge
+    # is x_n = 0, where only the mu_n = 0 layer survives and stays zero;
+    # on a curved edge x = (t, g(t)) the graph series g(t) = sum_j
+    # edge[j] t^j supplied by the caller (edge[0] = edge[1] = 0 by
+    # normalization) is substituted into the r-free part and the
+    # condition solved coefficient by coefficient over the rationals
+    if not jet.is_flat:
         if edge is None:
             raise ValueError("curved pair solve needs the edge graph series")
         gcoef = [Fraction(v) for v in edge] + [Fraction(0)] * (deg + 2)
@@ -264,22 +213,13 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
             key = ((j, 0), 0)
             a[key] = a.get(key, Fraction(0)) - acc
 
-    # bracket sweep for l >= 1 layers
-    for D in range(1, deg + 1):
-        for l in range(1, D + 1):
-            for sigma in itertools.product(range(D + 1), repeat=n):
-                if sum(sigma) != D - l:
-                    continue
-                P_cur = XRPolynomial(n, {key: v for key, v in a.items() if v != 0})
-                V = (N * EQ).truncate(k + 2) + P_cur.mul_r_power(1)
-                R = weighted_laplacian_bracket(V, jet, degree=k + 2)
-                coeff = R.coeff(sigma, l + 1)
-                piv = Fraction(l * (l + 1 + 2 * sigma[n - 1]))
-                key = (tuple(sigma), l)
-                a[key] = a.get(key, Fraction(0)) - coeff / piv
-    P = XRPolynomial(n, {key: v for key, v in a.items() if v != 0})
-    V = (N * EQ).truncate(k + 2) + P.mul_r_power(1)
-    R = weighted_laplacian_bracket(V, jet, degree=k + 2)
+    # the l >= 1 layers: W(r P) = r^2 * (bracket of P), so P solves the
+    # approximating sweep against -W(N E(Q)) / r^2
+    NEQ = (N * EQ).truncate(k + 2)
+    W0 = weighted_laplacian_bracket(NEQ, jet, degree=k + 2)
+    target = XRPolynomial(n, {(mu, m - 2): -v for (mu, m), v in W0.items() if m >= 2})
+    P = _sweep(jet, target, k, XRPolynomial(n, a))
+    R = weighted_laplacian_bracket(NEQ + P.mul_r_power(1), jet, degree=k + 2)
     if jet.is_flat and not R.is_zero():
         raise SingularSystem(f"flat residual should vanish exactly, got {R}")
     return NeumannPair(Q=Q, P=P, k=k, weight=N, residual=R)

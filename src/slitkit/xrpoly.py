@@ -16,8 +16,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import SingularSystem
-
 MultiIndex = tuple[int, ...]
 Key = tuple[MultiIndex, int]
 
@@ -246,7 +244,8 @@ class LaplacianResult:
 
     ``principal`` is the flat-interface table; ``curved_terms`` collects
     the jet-induced contributions up to total degree k.  For flat
-    geometry the identity is exact and ``remainder_order`` is inf.
+    geometry the identity is exact and ``remainder_order`` is inf;
+    otherwise it is the lowest degree at which the bracket may be wrong.
     """
 
     __slots__ = ("principal", "curved_terms", "remainder_order")
@@ -327,16 +326,31 @@ def flat_principal(n: int, mu: MultiIndex, m: int) -> XRPolynomial:
                         shift=2).mul_r_power(-2)
 
 
+def _jet_terms(jet, k: int) -> tuple:
+    """d, nu and Delta d = -kappa of a jet, cut at degree k.
+
+    Every factor of the bracket has degree >= 0, so jet terms above
+    degree k cannot reach a bracket truncated at k; dropping them first
+    saves the products that would be thrown away.
+    """
+    return jet.d.truncate(k), [v.truncate(k) for v in jet.nu], -jet.kappa.truncate(k)
+
+
 def laplacian_monomial(mu: Iterable[int], m: int, jet, k: int) -> LaplacianResult:
-    """Table entry for Delta(U0 x^mu r^m) truncated at bracket degree k."""
+    """Table entry for Delta(U0 x^mu r^m) truncated at bracket degree k.
+
+    A curved jet of order j carries kappa only through degree j - 1, so
+    the entry is exact through degree min(k, j - 1): ``remainder_order``
+    is min(k + 1, j).
+    """
     mu = tuple(mu)
     if m < 0:
         raise ValueError("m must be nonnegative here; shifted tables handle m=-1")
     principal = flat_principal(jet.n, mu, m)
     if jet.is_flat:
         return LaplacianResult(principal, XRPolynomial.zero(jet.n), math.inf)
-    curved = poly_bracket(mu, m, jet.d, jet.nu, -jet.kappa) - principal
-    return LaplacianResult(principal, curved.truncate(k), k + 1)
+    curved = poly_bracket(mu, m, *_jet_terms(jet, k)) - principal
+    return LaplacianResult(principal, curved.truncate(k), min(k + 1, jet.order))
 
 
 def laplacian_of_product(P: XRPolynomial, jet, k: int) -> LaplacianResult:
@@ -352,14 +366,42 @@ def laplacian_of_product(P: XRPolynomial, jet, k: int) -> LaplacianResult:
     return LaplacianResult(principal, curved, rem)
 
 
-def _indices_upto(n: int, deg: int) -> list[MultiIndex]:
+def _indices_of_degree(n: int, deg: int) -> list[MultiIndex]:
     if n == 1:
-        return [(d,) for d in range(deg + 1)]
-    out = []
-    for d in range(deg + 1):
-        for a in range(d + 1):
-            out.append((a, d - a))
-    return out
+        return [(deg,)]
+    return [(a, deg - a) for a in range(deg + 1)]
+
+
+def _sweep(jet, target: XRPolynomial, k: int, base: XRPolynomial) -> XRPolynomial:
+    """The triangular solve behind every exact corrector.
+
+    Starting from the r-free layer ``base``, sweeps total degree upward
+    and, within a degree, the r-power upward: the bracket coefficient
+    A_{sigma,l} of Delta(U0 P) pins a_{sigma,l+1} with the strictly
+    positive pivot (l+1)(l+2+2 sigma_n), so that the bracket matches
+    ``target`` through degree k.  The running bracket is kept as the sum
+    of the table entries of the coefficients pinned so far; each entry
+    is computed and added once, when its coefficient is known.
+    """
+    n = jet.n
+    coeffs: dict[Key, Fraction] = {}
+    bracket: dict[Key, Fraction] = {}
+
+    def pin(key: Key, a: Fraction) -> None:
+        coeffs[key] = a
+        for bk, v in laplacian_monomial(*key, jet, k).total._c.items():
+            bracket[bk] = bracket.get(bk, 0) + a * v
+
+    for key, a in base._c.items():
+        pin(key, a)
+    for deg in range(1, k + 2):
+        for l in range(deg):
+            for sigma in _indices_of_degree(n, deg - l - 1):
+                pivot = (l + 1) * (l + 2 + 2 * sigma[n - 1])
+                a = (target.coeff(sigma, l) - bracket.get((sigma, l), 0)) / pivot
+                if a:
+                    pin((sigma, l + 1), a)
+    return XRPolynomial._wrap(n, coeffs)
 
 
 def solve_approximating(jet, R: XRPolynomial, k: int,
@@ -367,17 +409,16 @@ def solve_approximating(jet, R: XRPolynomial, k: int,
     """Degree-(k+1) polynomial P with Delta(U0 P) bracket matching R up to degree k.
 
     The coefficients a_{mu,0} are free data; unspecified ones default to
-    zero.  The remaining coefficients are obtained by sweeping total
-    degree upward and, within a degree, the r-power upward: each bracket
-    coefficient A_{sigma,l} pins down a_{sigma,l+1} with the strictly
-    positive pivot (l+1)(l+2+2 sigma_n).
+    zero.  The remaining coefficients come from the triangular sweep
+    ``_sweep``.  On a curved jet the result is exact through degree k
+    only when ``jet.order >= k + 1`` (see ``laplacian_monomial``).
     """
     n = jet.n
     if R.degree > k:
         raise ValueError("right-hand side degree exceeds k")
     if R.norm() > 1:
         raise ValueError("right-hand side exceeds the unit normalization")
-    coeffs: dict[Key, Fraction] = {}
+    base: dict[Key, Fraction] = {}
     for mu, v in (free or {}).items():
         mu = tuple(mu)
         f = _frac(v)
@@ -385,21 +426,5 @@ def solve_approximating(jet, R: XRPolynomial, k: int,
             raise ValueError(f"free coefficient {mu} beyond degree k+1")
         if abs(f) > 1:
             raise ValueError("free coefficient exceeds the unit normalization")
-        if f != 0:
-            coeffs[(mu, 0)] = f
-
-    for deg in range(1, k + 2):
-        for l1 in range(1, deg + 1):  # r-power of the coefficient being determined
-            l = l1 - 1
-            for sigma in _indices_upto(n, deg - l1):
-                if sum(sigma) != deg - l1:
-                    continue
-                partial = XRPolynomial(n, coeffs)
-                A = laplacian_of_product(partial, jet, k).coefficient(sigma, l)
-                pivot = Fraction((l + 1) * (l + 2 + 2 * sigma[n - 1]))
-                if pivot == 0:
-                    raise SingularSystem(f"zero pivot at sigma={sigma}, l={l}")
-                a = (R.coeff(sigma, l) - A) / pivot
-                if a != 0:
-                    coeffs[(sigma, l1)] = a
-    return XRPolynomial(n, coeffs)
+        base[(mu, 0)] = f
+    return _sweep(jet, R, k, XRPolynomial(n, base))

@@ -117,15 +117,28 @@ class TestPairSystems:
         assert pair.P.is_zero()
         assert pair.residual.is_zero()
 
-    def test_consistency_with_constant_T(self):
-        # Q + 2 r P reproduces the constant-coefficient family: for
-        # Q = x1^2 at k = 1, T = x1^2 - r^2 means P = -r/2
-        jet = flat_jet(2, 5)
-        Q = YPolynomial(2, {(2, 0): 1})
-        pair = solve_pair_systems(jet, Q, k=1)
-        T = constant_T(2, 1, q={(2, 0): 1})
-        W = _q_poly(Q) + 2 * pair.P.mul_r_power(1)
+    @pytest.mark.parametrize("k, free_b1", [
+        pytest.param(k, None, id=f"k{k}") for k in range(4)
+    ] + [pytest.param(2, {(0, 1): Fraction(1, 3), (1, 1): Fraction(-2, 5)}, id="k2-free_b1")])
+    def test_consistency_with_constant_T(self, k, free_b1):
+        # Q + 2 r P reproduces the constant-coefficient family (for
+        # Q = x1^2 at k = 1, T = x1^2 - r^2 means P = -r/2); constant_T is
+        # built on this identity, so T is also checked to be a solution
+        jet = flat_jet(2, k + 4)
+        Q = YPolynomial(2, {(2, 0): 1, (3, 0): Fraction(-1, 2)})
+        half = {mu: v / 2 for mu, v in (free_b1 or {}).items()}
+        pair = solve_pair_systems(jet, Q, k=k, free_b1=half)
+        T = constant_T(2, k, q=Q.coefficients, free_b1=free_b1)
+        W = _q_poly(Q).truncate(k + 2) + 2 * pair.P.mul_r_power(1)
         assert (W - T).is_zero()
+        assert weighted_laplacian_bracket(T, jet).is_zero()
+        assert t_nu_on_edge(T).is_zero()
+        for mu, v in (free_b1 or {}).items():
+            assert T.coeff(mu, 1) == v
+        if k == 1 and free_b1 is None:
+            assert T == XRPolynomial(2, {((2, 0), 0): 1, ((0, 0), 2): -1,
+                                         ((3, 0), 0): Fraction(-1, 2),
+                                         ((1, 0), 2): Fraction(3, 2)})
 
     def test_curved_k0_no_shift(self):
         # curvature enters the corrector equations only at degree k + 2,

@@ -1,19 +1,26 @@
 """Exact-arithmetic tests for the (x, r) polynomial calculus."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slitkit.xrpoly
 from slitkit import (
     XRPolynomial,
+    YPolynomial,
+    constant_T,
     flat_jet,
     flat_principal,
+    foot_jet,
     gamma_jet,
     laplacian_monomial,
     laplacian_of_product,
     solve_approximating,
+    solve_pair_systems,
 )
 
 
@@ -145,6 +152,13 @@ class TestCurvedTable:
         assert res.principal.is_zero()
         assert res.remainder_order == 3
 
+    def test_remainder_order_is_capped_by_the_jet(self):
+        # kappa of an order-3 jet stops at degree 2, so the entry can be
+        # wrong from degree 3 on even when asked for degree 4
+        jet = gamma_jet("5*t**2/32 - 3*t**3/32", order=3)
+        assert laplacian_monomial((1, 0), 1, jet, 4).remainder_order == 3
+        assert laplacian_monomial((1, 0), 1, jet, 1).remainder_order == 2
+
     def test_curved_terms_start_above_flat_degree(self):
         jet = gamma_jet("t**2/4", order=5)
         for mu, m in [((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((0, 0), 1), ((2, 0), 1)]:
@@ -231,3 +245,66 @@ class TestApproximatingSolve:
         Pb = solve_approximating(j, XRPolynomial.zero(2), 3, free=fb)
         Pab = solve_approximating(j, XRPolynomial.zero(2), 3, free={**fa, **fb})
         assert Pab == Pa + Pb
+
+
+class TestSweep:
+    def test_matches_reference_sweeps(self):
+        # exact outputs recorded from the earlier per-unknown solvers
+        ref = json.loads((Path(__file__).parent / "data" / "sweeps.json").read_text())
+        jets, feet = {}, {}
+
+        def jet_of(desc):
+            key = json.dumps(desc, sort_keys=True)
+            if key not in jets:
+                if "flat" in desc:
+                    jets[key] = flat_jet(desc["flat"], desc.get("order", 8))
+                else:
+                    jets[key] = gamma_jet(desc["g"], desc["order"])
+            return jets[key]
+
+        def poly(n, entries):
+            return XRPolynomial(n, {(tuple(mu), m): F(c) for mu, m, c in entries})
+
+        def data(entries):
+            return {tuple(mu): v if isinstance(v, float) else F(v) for mu, v in entries}
+
+        for case in ref["solve_approximating"]:
+            jet = jet_of(case["jet"])
+            P = solve_approximating(jet, poly(jet.n, case["R"]), case["k"], free=data(case["free"]))
+            assert P == poly(jet.n, case["P"]), case
+        for case in ref["solve_pair_systems"]:
+            desc, kw = case["jet"], {}
+            if "weight" in case:
+                kw["weight"] = poly(2, case["weight"])
+            if "free_b1" in case:
+                kw["free_b1"] = data(case["free_b1"])
+            if "g" in desc:
+                foot_key = (desc["g"], desc["foot_order"])
+                if foot_key not in feet:
+                    feet[foot_key] = foot_jet(*foot_key)
+                kw["foot"] = feet[foot_key]
+                kw["edge"] = [F(e) for e in desc["edge"]]
+            pair = solve_pair_systems(jet_of(desc), YPolynomial(2, data(case["q"])), case["k"], **kw)
+            assert pair.P == poly(2, case["P"]), case
+            assert pair.residual == poly(2, case["residual"]), case
+        for case in ref["constant_T"]:
+            T = constant_T(case["n"], case["k"], q=data(case["q"]), free_b1=data(case["free_b1"]))
+            assert T == poly(case["n"], case["T"]), case
+
+    def test_each_table_entry_is_built_once(self, monkeypatch):
+        # the sweep adds each pinned coefficient's table entry to a running
+        # bracket, so no monomial is tabulated twice and none that P lacks
+        calls = []
+        real = slitkit.xrpoly.laplacian_monomial
+
+        def counting(mu, m, jet, k):
+            calls.append((tuple(mu), m))
+            return real(mu, m, jet, k)
+
+        monkeypatch.setattr(slitkit.xrpoly, "laplacian_monomial", counting)
+        jet = gamma_jet("5*t**2/32 - 3*t**3/32", order=5)
+        R = xr(2, {((0, 0), 0): F(1, 5), ((1, 0), 1): F(-1, 7)})
+        P = solve_approximating(jet, R, 4, free={(0, 1): F(1, 2), (2, 0): F(-1, 3)})
+        keys = [key for key, _ in P.items()]
+        assert len(calls) == len(set(calls)) <= len(keys)
+        assert set(calls) <= set(keys)
