@@ -63,11 +63,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _grading(cfg: ExperimentConfig):
+    return {"type": "power", "p": cfg.grading_p} if cfg.grading_p else None
+
+
 def _solve(cfg, outdir):
     from .solver import solve_fd
 
-    grading = {"type": "power", "p": cfg.grading_p} if cfg.grading_p else None
-    sol = solve_fd(_geometry(cfg), _phi(cfg), h=cfg.h, grading=grading,
+    sol = solve_fd(_geometry(cfg), _phi(cfg), h=cfg.h, grading=_grading(cfg),
                    split=cfg.split)
     sol.save_csv(outdir / "solution.csv")
     fr = sol.node_frames()
@@ -85,8 +88,7 @@ def _expand_fit(cfg):
     from .expansion import fit_tangent
     from .solver import solve_fd
 
-    grading = {"type": "power", "p": cfg.grading_p} if cfg.grading_p else None
-    sol = solve_fd(_geometry(cfg), _phi(cfg), h=cfg.h, grading=grading, split=cfg.split)
+    sol = solve_fd(_geometry(cfg), _phi(cfg), h=cfg.h, grading=_grading(cfg), split=cfg.split)
     P0 = fit_tangent(sol, Z=np.zeros(sol.n), degree=cfg.k + 1, rmax=0.25)
     return sol, P0
 
@@ -100,8 +102,17 @@ def _expand(cfg, outdir):
 
 
 def _rates(cfg, outdir):
-    from .expansion import rate_report
+    from .errors import InsufficientResolution
+    from .expansion import check_ball_nodes, rate_report
+    from .solver import empty_solution
 
+    # scales too fine for h are a config error, found before the solve
+    geom = _geometry(cfg)
+    try:
+        check_ball_nodes(empty_solution(geom, cfg.h, _grading(cfg)), np.zeros(geom.n),
+                         cfg.scales, min_cos=cfg.min_cos)
+    except InsufficientResolution as exc:
+        raise ConfigInvalid("scales", f"{exc} at h = {cfg.h!r}") from exc
     sol, P0 = _expand_fit(cfg)
     rep = rate_report(sol, P0, np.zeros(sol.n), cfg.scales, target=cfg.target,
                       mode="ball", min_cos=cfg.min_cos)
@@ -184,13 +195,11 @@ def _barrier(cfg, outdir):
 
 def _energy(cfg, outdir):
     from .geometry import flat_geometry
-    from .solver import compute_energy, make_axes, solve_fd
+    from .solver import compute_energy, empty_solution
 
-    geom = flat_geometry(1)
-    sol = solve_fd(geom, lambda x, z: np.sqrt((x + np.hypot(x, z)) / 2.0),
-                   h=cfg.h, split=False)
-    fr = sol.node_frames()
-    sol.values = fr["u0"].reshape(sol.values.shape)
+    # the energy of U0 itself, sampled on the flat grid: no solve
+    sol = empty_solution(flat_geometry(1), cfg.h)
+    sol.values = sol.node_frames()["u0"].reshape(sol.dims)
     e = compute_energy(sol)
     _write_csv(outdir / "energy.csv", "quantity,value", [
         ("energy", _fmt(e)), ("reference", _fmt(np.pi)),

@@ -79,7 +79,7 @@ def constant_T(n: int, k: int, q: dict | None = None,
         raise ValueError("q lives on x'-multi-indices (mu_n = 0)")
     if any(mu[n - 1] == 0 for mu in free_b1):
         raise ValueError("free b_{mu,1} requires mu_n != 0")
-    Q = YPolynomial(n, {tuple(mu): Fraction(v) for mu, v in q.items() if sum(mu) <= k + 2})
+    Q = YPolynomial(n, {tuple(mu): v for mu, v in q.items() if sum(mu) <= k + 2})
     half_b1 = {tuple(mu): Fraction(v) / 2 for mu, v in free_b1.items() if sum(mu) + 1 <= k + 2}
     P = solve_pair_systems(flat_jet(n, k + 4), Q, k, free_b1=half_b1).P
     return _q_to_xr(Q, None, k + 2) + 2 * P.mul_r_power(1)
@@ -132,13 +132,17 @@ class NeumannPair:
 
 
 def _q_to_xr(Q: YPolynomial, foot: XRPolynomial | None, degree: int) -> XRPolynomial:
-    """Q composed with the edge-flattening coordinate as an x-series."""
+    """Q composed with the edge-flattening coordinate as an x-series.
+
+    This is the one place a Q coefficient becomes exact: ``Fraction(c)``,
+    so a float enters as the binary value it holds, never rounded.
+    """
     n = Q.n
     if foot is None:
         foot = XRPolynomial.x_var(n, 0) if n == 2 else XRPolynomial.zero(n)
     out = XRPolynomial.zero(n)
     for mu, c in Q.coefficients.items():
-        term = XRPolynomial.constant(n, Fraction(c) if not isinstance(c, float) else Fraction(c).limit_denominator(10**12))
+        term = XRPolynomial.constant(n, Fraction(c))
         for _ in range(mu[0] if n == 2 else 0):
             term = (term * foot).truncate(degree)
         out = out + term

@@ -63,6 +63,16 @@ def run_cli(args, tmp_path):
         capture_output=True, text=True, timeout=600)
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    from slitkit import solver
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solve_fd called")
+
+    monkeypatch.setattr(solver, "solve_fd", fail)
+
+
 class TestCLI:
     def test_freeboundary_run(self, tmp_path):
         proc = run_cli(["freeboundary", "--G", "1.0"], tmp_path)
@@ -85,6 +95,22 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         outdir = tmp_path / "whitney"
         assert (outdir / "moments.csv").exists()
+
+    def test_rates_default_rejected_before_solve(self, tmp_path, no_solve, capsys):
+        # at h = 1/64 the 1/8 ball holds 53 sample nodes, fewer than the
+        # rate report's 100, so the default config is refused unsolved
+        from slitkit import cli
+
+        assert cli.main(["rates", "--output", str(tmp_path)]) == 2
+        assert "scales: ball at scale 0.1250 has 53 nodes < 100" in capsys.readouterr().err
+
+    def test_energy_run_needs_no_solve(self, tmp_path, no_solve):
+        # the energy is that of U0 sampled on the grid
+        from slitkit import cli
+
+        assert cli.main(["energy", "--output", str(tmp_path)]) == 0
+        body = (tmp_path / "energy" / "energy.csv").read_text()
+        assert body.startswith("quantity,value\nenergy,")
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfgfile = tmp_path / "bad.yaml"

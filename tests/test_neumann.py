@@ -117,15 +117,19 @@ class TestPairSystems:
         assert pair.P.is_zero()
         assert pair.residual.is_zero()
 
-    @pytest.mark.parametrize("k, free_b1", [
-        pytest.param(k, None, id=f"k{k}") for k in range(4)
-    ] + [pytest.param(2, {(0, 1): Fraction(1, 3), (1, 1): Fraction(-2, 5)}, id="k2-free_b1")])
-    def test_consistency_with_constant_T(self, k, free_b1):
+    @pytest.mark.parametrize("k, free_b1, q", [
+        pytest.param(k, None, None, id=f"k{k}") for k in range(4)
+    ] + [pytest.param(2, {(0, 1): Fraction(1, 3), (1, 1): Fraction(-2, 5)}, None,
+                      id="k2-free_b1"),
+         pytest.param(1, None, {(2, 0): 0.1}, id="k1-float_q")])
+    def test_consistency_with_constant_T(self, k, free_b1, q):
         # Q + 2 r P reproduces the constant-coefficient family (for
         # Q = x1^2 at k = 1, T = x1^2 - r^2 means P = -r/2); constant_T is
-        # built on this identity, so T is also checked to be a solution
+        # built on this identity, so T is also checked to be a solution.
+        # A float Q coefficient enters both entry points as the same
+        # exact binary fraction.
         jet = flat_jet(2, k + 4)
-        Q = YPolynomial(2, {(2, 0): 1, (3, 0): Fraction(-1, 2)})
+        Q = YPolynomial(2, q or {(2, 0): 1, (3, 0): Fraction(-1, 2)})
         half = {mu: v / 2 for mu, v in (free_b1 or {}).items()}
         pair = solve_pair_systems(jet, Q, k=k, free_b1=half)
         T = constant_T(2, k, q=Q.coefficients, free_b1=free_b1)
@@ -135,7 +139,9 @@ class TestPairSystems:
         assert t_nu_on_edge(T).is_zero()
         for mu, v in (free_b1 or {}).items():
             assert T.coeff(mu, 1) == v
-        if k == 1 and free_b1 is None:
+        if q is not None:
+            assert T == XRPolynomial(2, {((2, 0), 0): Fraction(0.1), ((0, 0), 2): -Fraction(0.1)})
+        elif k == 1 and free_b1 is None:
             assert T == XRPolynomial(2, {((2, 0), 0): 1, ((0, 0), 2): -1,
                                          ((3, 0), 0): Fraction(-1, 2),
                                          ((1, 0), 2): Fraction(3, 2)})

@@ -174,6 +174,68 @@ class TestLinearSolve:
             self._solve()
 
 
+def _counting_spla(monkeypatch, name):
+    """Replace ``solver.spla`` by a copy whose ``name`` records its calls."""
+    calls = []
+    spla = types.SimpleNamespace(**vars(solver.spla))
+    real = getattr(spla, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    setattr(spla, name, counting)
+    monkeypatch.setattr(solver, "spla", spla)
+    return calls
+
+
+class TestDirectSolve:
+    def test_split_solve_factors_once(self, monkeypatch):
+        # the unsplit solve and both remainder solves share one factor
+        calls = _counting_spla(monkeypatch, "splu")
+        solve_fd(flat_geometry(1), phi_flat_1, h=2**-5, split=True)
+        assert len(calls) == 1
+
+    def test_unpivoted_factor_solves_accurately(self):
+        # the symmetric ordering without pivoting on a uniform, a graded,
+        # a stretched and a masked grid
+        h = 2**-5
+        g = flat_geometry(1)
+        uniform = make_axes(1, h)
+        cases = [(uniform, None), (make_axes(1, h, {"type": "power", "p": 2.0}), None),
+                 ([a * 0.9 for a in uniform], None), (uniform, (len(uniform[0]) // 2, 5))]
+        rng = np.random.default_rng(0)
+        for axes, hole in cases:
+            _, _, interior = solver._classify(g, axes, h)
+            if hole:
+                interior[hole] = False
+            system = solver._FVSystem(axes, interior)
+            b = rng.standard_normal(system.nun)
+            x = system.solve(b)
+            assert np.linalg.norm(system.A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _disc_phi(t):
+    return np.abs(np.cos(t / 2.0))
+
+
+class TestDiscOracle:
+    # tip coefficients of the per-unknown assembly with bisected arms and
+    # two separate spsolves, at h = 2^-6
+    RECORDED = {
+        (-0.3, True): 0.8621755088279394, (-0.3, False): 0.8855478830891861,
+        (0.0, True): 0.9954158199958812, (0.0, False): 1.0337190749440457,
+        (0.3, True): 1.1771285732927894, (0.3, False): 1.2331893614677918,
+    }
+
+    @pytest.mark.parametrize("gamma, split", sorted(RECORDED))
+    def test_matches_recorded_tips_with_one_spsolve(self, monkeypatch, gamma, split):
+        calls = _counting_spla(monkeypatch, "spsolve")
+        a, _ = solver.solve_disc_2d(gamma, _disc_phi, h=2**-6, split=split)
+        assert a == pytest.approx(self.RECORDED[gamma, split], rel=1e-12, abs=0.0)
+        assert len(calls) == 1
+
+
 class TestBarrier:
     def test_flat_barrier_positive_and_stable(self):
         g = flat_geometry(1)
