@@ -9,18 +9,14 @@ from .errors import (
     NoBracket,
     NonConvergence,
     OutOfChart,
-    OutOfDomain,
     SingularMoments,
     SingularSystem,
     SlitkitError,
     TruncationWarning,
 )
 from .geometry import (
-    Frame,
     GammaJet,
     SlitGeometry,
-    closest_point_frame,
-    flat_frame,
     flat_geometry,
     flat_jet,
     frame_fields,

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +31,18 @@ def _geometry(cfg: ExperimentConfig):
 
     if cfg.geometry == "flat":
         return flat_geometry(cfg.n)
-    a = float(cfg.geometry.split(":", 1)[1])
-    return parabola_geometry(a)
+    return parabola_geometry(Fraction(cfg.geometry.split(":", 1)[1]))
 
 
 def _phi(cfg: ExperimentConfig):
     name = cfg.phi
     if name == "u0-trace":
-        if cfg.geometry == "flat":
-            if cfg.n == 1:
-                return lambda x, z: np.sqrt((x + np.hypot(x, z)) / 2.0)
-            return lambda x1, x2, z: np.sqrt((x2 + np.hypot(x2, z)) / 2.0)
-        a = float(cfg.geometry.split(":", 1)[1])
+        geom = _geometry(cfg)
+        if geom.n == 1:
+            return lambda x, z: np.sqrt((x + np.hypot(x, z)) / 2.0)
 
         def phi(x1, x2, z):
-            d = x2 - a * x1**2
+            d = x2 - geom.g(x1)
             return np.sqrt((d + np.hypot(d, z)) / 2.0)
 
         return phi

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import yaml
 
@@ -56,8 +57,16 @@ class ExperimentConfig:
         if len(self.scales) >= 2 and not all(
                 a > b for a, b in zip(self.scales, self.scales[1:])):
             raise ConfigInvalid("scales", "must be strictly decreasing")
-        if not self.geometry == "flat" and not self.geometry.startswith("parabola:"):
-            raise ConfigInvalid("geometry", f"unrecognized descriptor {self.geometry!r}")
+        if self.geometry != "flat":
+            kind, _, a = str(self.geometry).partition(":")
+            try:
+                float(Fraction(a))
+            except (ValueError, OverflowError):
+                kind = None
+            if kind != "parabola":
+                raise ConfigInvalid("geometry", f"unrecognized descriptor {self.geometry!r}")
+            if self.n != 2:
+                raise ConfigInvalid("geometry", f"a curved edge needs n = 2, got n = {self.n}")
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(asdict(self), sort_keys=True)

@@ -5,10 +5,6 @@ class SlitkitError(Exception):
     """Base class for all package errors."""
 
 
-class OutOfDomain(SlitkitError):
-    """Query point lies outside the geometry's domain of validity."""
-
-
 class NonConvergence(SlitkitError):
     """An iterative solve failed to reach its tolerance."""
 
@@ -58,4 +54,6 @@ class ConfigInvalid(SlitkitError):
 
 
 class TruncationWarning(UserWarning):
-    """Half-angle series truncated before its tail is negligible."""
+    """A result is cut short: a half-angle series whose tail is not
+    negligible, or an exact solve on a curved jet too short for its
+    degree."""

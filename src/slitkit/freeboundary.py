@@ -60,18 +60,21 @@ def _pulled_back_phi(phi, gamma: float):
     return pulled
 
 
+def _tip_series(gamma: float, phi, series_terms: int, method: str = "fixed"):
+    """Half-angle series of the Moebius-normalized problem and the tip
+    coefficient a it gives: the 1/2-power coefficient times
+    |T'(gamma)|^(1/2)."""
+    series = solve_series_2d(_pulled_back_phi(phi, gamma) if gamma != 0.0 else phi,
+                             series_terms, method=method)
+    return series, float(series.coefficients[0]) / np.sqrt(1.0 - gamma * gamma)
+
+
 def tip_coefficient(gamma: float, phi, series_terms: int = 64,
-                    tol: float = 1e-8, method: str = "fixed") -> float:
-    """a = du/dU0 at the tip (gamma, 0): the 1/2-power series coefficient
-    of the Moebius-normalized problem times |T'(gamma)|^(1/2)."""
+                    method: str = "fixed") -> float:
+    """a = du/dU0 at the tip (gamma, 0)."""
     if not -1.0 < gamma < 1.0:
         raise ValueError("tip must be inside the disc")
-    if gamma == 0.0:
-        series = solve_series_2d(phi, series_terms, tol=tol, method=method)
-    else:
-        series = solve_series_2d(_pulled_back_phi(phi, gamma), series_terms, tol=tol,
-                                 method=method)
-    return float(series.coefficients[0]) / np.sqrt(1.0 - gamma * gamma)
+    return _tip_series(gamma, phi, series_terms, method)[1]
 
 
 @dataclass
@@ -83,21 +86,20 @@ class FreeBoundaryResult:
     scan_roots: list = field(default_factory=list)
 
 
-def solve_free_boundary(prob: TipProblem, scan_points: int = 41,
-                        bisect_tol: float = 1e-3, residual_tol: float = 1e-9,
-                        max_iter: int = 60) -> FreeBoundaryResult:
+def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
     """Bracketed root of a(gamma) - G(gamma).
 
-    Coarse scan for sign changes (NoBracket if none, MultipleRoots with
-    every refined root if several), bisection to width ``bisect_tol``,
-    then secant polishing to residual < ``residual_tol``.
+    Coarse scan at 41 points for sign changes (NoBracket if none,
+    MultipleRoots with every refined root if several), bisection to
+    width 1e-3, then at most 60 secant steps to a residual below 1e-9.
     """
+    residual_tol = 1e-9
 
     def F(g):
         return tip_coefficient(g, prob.phi, prob.series_terms) - float(prob.G(g))
 
     lo, hi = prob.bracket
-    gs = np.linspace(lo, hi, scan_points)
+    gs = np.linspace(lo, hi, 41)
     vals = np.array([F(g) for g in gs])
     sign_changes = [(gs[j], gs[j + 1]) for j in range(len(gs) - 1)
                     if vals[j] == 0.0 or (vals[j] * vals[j + 1] < 0.0)]
@@ -108,7 +110,7 @@ def solve_free_boundary(prob: TipProblem, scan_points: int = 41,
         f_lo = F(a_lo)
         if f_lo == 0.0:
             return a_lo, 0.0
-        while a_hi - a_lo > bisect_tol:
+        while a_hi - a_lo > 1e-3:
             mid = 0.5 * (a_lo + a_hi)
             f_mid = F(mid)
             if f_mid == 0.0:
@@ -119,7 +121,7 @@ def solve_free_boundary(prob: TipProblem, scan_points: int = 41,
                 a_lo, f_lo = mid, f_mid
         g0, g1 = a_lo, a_hi
         f0, f1 = F(g0), F(g1)
-        for _ in range(max_iter):
+        for _ in range(60):
             if abs(f1) < residual_tol:
                 return g1, f1
             if f1 == f0:
@@ -139,8 +141,6 @@ def solve_free_boundary(prob: TipProblem, scan_points: int = 41,
         raise exc
 
     g_star, res = refine(*sign_changes[0])
-    series = solve_series_2d(_pulled_back_phi(prob.phi, g_star) if g_star != 0.0
-                             else prob.phi, prob.series_terms, method="fixed")
-    a_star = float(series.coefficients[0]) / np.sqrt(1.0 - g_star**2)
+    series, a_star = _tip_series(g_star, prob.phi, prob.series_terms)
     return FreeBoundaryResult(gamma=float(g_star), a=a_star, residual=abs(res),
                               series=series, scan_roots=[float(g_star)])

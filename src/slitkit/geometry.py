@@ -14,148 +14,73 @@ arithmetic, so that the Laplacian table stays exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence, OutOfDomain
+from .errors import NonConvergence
 from .xrpoly import XRPolynomial
 
 
 @dataclass(frozen=True)
 class SlitGeometry:
-    """Graph description of the slit edge.
+    """The slit edge x_n = g(x') through the origin, for n = 1 or 2.
 
-    ``g`` maps x' (a float for n=1, a length-(n-1) array for n=2) to the
-    edge height in the x_n direction.  Derivative callables follow the
-    same convention.  ``flat`` short-circuits everything to g == 0.
+    ``coeffs`` holds the Taylor coefficients g_0, g_1, ... of the graph
+    as ``Fraction``s; a float enters as the exact binary value it holds.
+    Empty or all-zero means the flat edge g == 0, the only edge n = 1
+    has.  Frames evaluate g and its derivatives in floats from these
+    coefficients, and the jets use them exactly, so both describe the
+    same edge.
     """
 
     n: int
-    g: Callable = None
-    dg: Callable = None
-    d2g: Callable = None
-    flat: bool = False
+    coeffs: tuple = ()
 
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("only n = 1 and n = 2 are supported")
-        if not self.flat and self.g is None:
-            raise ValueError("curved geometry needs g")
+        try:
+            c = [Fraction(v) for v in self.coeffs]
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"edge graph coefficient is not a finite number: {exc}") from exc
+        while c and not c[-1]:
+            c.pop()
+        if any(c[:2]):
+            raise ValueError("edge graph must satisfy g(0) = 0, g'(0) = 0")
+        if c and self.n == 1:
+            raise ValueError("a curved edge needs n = 2")
+        object.__setattr__(self, "coeffs", tuple(c))
+
+    @property
+    def flat(self) -> bool:
+        return not self.coeffs
+
+    def g(self, t):
+        return _evaluate(self.coeffs, t)
+
+    def dg(self, t):
+        return _evaluate(_derivative(self.coeffs), t)
+
+    def d2g(self, t):
+        return _evaluate(_derivative(_derivative(self.coeffs)), t)
+
+
+def _evaluate(coeffs, t):
+    """sum_j c_j t^j in floats over the nonzero c_j, lowest degree first;
+    for a single term this is exactly c t^j."""
+    terms = [float(c) * t**j for j, c in enumerate(coeffs) if c]
+    return sum(terms[1:], terms[0]) if terms else np.zeros_like(t)
 
 
 def flat_geometry(n: int) -> SlitGeometry:
-    return SlitGeometry(n=n, flat=True)
+    return SlitGeometry(n)
 
 
 def parabola_geometry(a) -> SlitGeometry:
     """n = 2 geometry with parabolic edge graph x_2 = a x_1^2."""
-    a_f = float(a)
-    return SlitGeometry(n=2, g=lambda t: a_f * t**2, dg=lambda t: 2 * a_f * t,
-                        d2g=lambda t: 2 * a_f)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Singular frame at one point of the slit domain."""
-
-    x: tuple          # horizontal coordinates (x_1, ..., x_n)
-    z: float          # vertical coordinate x_{n+1}
-    d: float          # signed in-plane distance to the edge
-    r: float          # cone radius sqrt(d^2 + z^2)
-    theta: float      # angle in (-pi, pi]
-    u0: float         # edge profile r^(1/2) cos(theta/2)
-    nu: tuple         # horizontal unit normal grad d
-    foot: tuple = None  # closest edge point parameter(s), when available
-
-    @property
-    def on_slit(self) -> bool:
-        return self.r == 0.0 or (self.z == 0.0 and self.d <= 0.0)
-
-
-def _frame_from_dz(x, z, d, nu, foot=None) -> Frame:
-    r = math.hypot(d, z)
-    theta = math.atan2(z, d)
-    # (d+r)(r-d) = z^2, so near the slit (d < 0) the conjugate form
-    # avoids the cancellation in d + r
-    if d >= 0:
-        u0 = math.sqrt((d + r) / 2.0)
-    elif r > 0:
-        u0 = abs(z) / (2.0 * math.sqrt((r - d) / 2.0))
-    else:
-        u0 = 0.0
-    return Frame(x=tuple(x), z=float(z), d=float(d), r=float(r),
-                 theta=float(theta), u0=float(u0), nu=tuple(nu), foot=foot)
-
-
-def flat_frame(x: Sequence[float], z: float) -> Frame:
-    x = tuple(float(c) for c in x)
-    n = len(x)
-    d = x[n - 1]
-    nu = (0.0,) * (n - 1) + (1.0,)
-    return _frame_from_dz(x, z, d, nu, foot=tuple(x[:n - 1]))
-
-
-def closest_point_frame(geom: SlitGeometry, x: Sequence[float], z: float,
-                        tol: float = 1e-13, max_iter: int = 60) -> Frame:
-    """Frame at (x, z) for a possibly curved edge.
-
-    n = 1: the edge is the single point (g-constant treated as 0 here,
-    curved n = 1 handled by conformal maps elsewhere), so d = x_1.
-
-    n = 2: damped Newton on the closest-point condition
-    F(t) = (t - x_1) + (g(t) - x_2) g'(t) = 0 with a coarse grid seed.
-    The signed distance is positive on the side of +e_n.
-    """
-    x = [float(c) for c in x]
-    if math.hypot(math.hypot(*x), z) > 1.0 + 1e-12:
-        raise OutOfDomain(f"point {(tuple(x), z)} outside the unit ball")
-    if geom.flat or geom.n == 1:
-        return flat_frame(x, z)
-
-    x1, x2 = x
-    g, dg, d2g = geom.g, geom.dg, geom.d2g
-
-    def F(t):
-        return (t - x1) + (g(t) - x2) * dg(t)
-
-    def dF(t):
-        return 1.0 + dg(t) ** 2 + (g(t) - x2) * d2g(t)
-
-    # grid seed over the chart
-    ts = np.linspace(-1.2, 1.2, 97)
-    dist2 = (ts - x1) ** 2 + (np.asarray(g(ts), dtype=float) - x2) ** 2
-    t = float(ts[int(np.argmin(dist2))])
-
-    for _ in range(max_iter):
-        f = F(t)
-        if abs(f) < tol:
-            break
-        fp = dF(t)
-        if fp <= 1e-14:
-            fp = 1.0  # fall back to gradient descent scaling
-        step = f / fp
-        # damp: never jump past several seed grid cells at once
-        step = max(min(step, 0.1), -0.1)
-        t -= step
-    else:
-        if abs(F(t)) > 1e-9:
-            raise NonConvergence(f"closest-point Newton stalled at {(x1, x2)}")
-
-    gt = g(t)
-    dist = math.hypot(x1 - t, x2 - gt)
-    # sign: positive above the tangent line of the edge at the foot
-    sgn = 1.0 if x2 >= gt + dg(t) * (x1 - t) else -1.0
-    d = sgn * dist
-    if dist > 1e-14:
-        nu = ((x1 - t) / dist * sgn, (x2 - gt) / dist * sgn)
-    else:
-        sl = math.hypot(1.0, dg(t))
-        nu = (-dg(t) / sl, 1.0 / sl)
-    return _frame_from_dz(x, z, d, nu, foot=(t,))
+    return SlitGeometry(2, (0, 0, a))
 
 
 def frame_fields(geom: SlitGeometry, X, Z):
@@ -166,7 +91,7 @@ def frame_fields(geom: SlitGeometry, X, Z):
     d = np.empty(m)
     nu = np.empty((m, geom.n))
     foot = np.empty(m)
-    if geom.flat or geom.n == 1:
+    if geom.flat:
         d[:] = X[:, geom.n - 1]
         nu[:] = 0.0
         nu[:, geom.n - 1] = 1.0
@@ -246,36 +171,39 @@ def flat_jet(n: int, order: int = 8) -> GammaJet:
                     kappa=XRPolynomial.zero(n), is_flat=True)
 
 
-def _graph_coeffs(g_expr) -> list[Fraction]:
-    """Rational Taylor coefficients g_0, g_1, ... of the edge graph.
+def _graph_coeffs(edge) -> tuple[Fraction, ...]:
+    """Exact Taylor coefficients of an n = 2 edge.
 
-    ``g_expr`` is a string or a sympy expression in one free symbol.
-    This is the only use of sympy: it parses the graph and nothing else.
+    ``edge`` is a SlitGeometry, or a string or sympy expression in one
+    free symbol, which is turned into a SlitGeometry here.  This is the
+    only use of sympy: it parses the graph and nothing else.
     """
+    if isinstance(edge, SlitGeometry):
+        if edge.n != 2:
+            raise ValueError("edge jets are for n = 2")
+        return edge.coeffs
     import sympy as sp
 
-    g = sp.sympify(g_expr)
+    g = sp.sympify(edge)
     var = sorted(g.free_symbols, key=str)
     try:
         poly = sp.Poly(g, var[0] if var else sp.Symbol("t"))
     except sp.PolynomialError as exc:
-        raise ValueError(f"edge graph {g_expr!r} is not a polynomial") from exc
+        raise ValueError(f"edge graph {edge!r} is not a polynomial") from exc
     coeffs = []
     for c in reversed(poly.all_coeffs()):
         c = sp.nsimplify(c, rational=True)
         if not c.is_Rational:
             raise ValueError(f"edge graph coefficient {c} is not rational")
         coeffs.append(Fraction(int(c.p), int(c.q)))
-    if any(coeffs[:2]):
-        raise ValueError("edge graph must satisfy g(0) = 0, g'(0) = 0")
-    return coeffs
+    return SlitGeometry(2, coeffs).coeffs
 
 
-def _derivative(coeffs: list[Fraction]) -> list[Fraction]:
+def _derivative(coeffs) -> list[Fraction]:
     return [j * c for j, c in enumerate(coeffs)][1:]
 
 
-def _compose(coeffs: list[Fraction], t: XRPolynomial, order: int) -> XRPolynomial:
+def _compose(coeffs, t: XRPolynomial, order: int) -> XRPolynomial:
     """sum_j coeffs[j] t^j by Horner, truncated at total degree ``order``."""
     out = XRPolynomial.zero(t.n)
     for c in reversed(coeffs):
@@ -297,7 +225,7 @@ def _binomial_series(s: XRPolynomial, alpha: Fraction, order: int) -> XRPolynomi
     return out
 
 
-def _foot_series(g: list[Fraction], order: int, steps: int) -> XRPolynomial:
+def _foot_series(g, order: int, steps: int) -> XRPolynomial:
     """Closest-point parameter t(x) of the edge x_2 = g(x_1) as a series.
 
     Newton iteration on the truncated series of
@@ -317,14 +245,15 @@ def _foot_series(g: list[Fraction], order: int, steps: int) -> XRPolynomial:
     return t
 
 
-def gamma_jet(g_expr, order: int) -> GammaJet:
+def gamma_jet(edge, order: int) -> GammaJet:
     """Jet of the signed distance frame for the n = 2 edge x_2 = g(x_1).
 
-    Works about the origin (g(0) = 0, g'(0) = 0).  The closest-point
+    ``edge`` is a SlitGeometry or an expression for g (see
+    ``_graph_coeffs``).  Works about the origin.  The closest-point
     parameter t(x) comes from ``_foot_series`` through degree order + 1,
     then everything else follows from d = sign * |x - (t, g(t))|.
     """
-    g = _graph_coeffs(g_expr)
+    g = _graph_coeffs(edge)
     k = order + 1
     t = _foot_series(g, k, max(3, order.bit_length() + 2))
     gt = _compose(g, t, k)
@@ -339,11 +268,11 @@ def gamma_jet(g_expr, order: int) -> GammaJet:
     return GammaJet(n=2, order=order, d=d, nu=nu, kappa=kappa, is_flat=False)
 
 
-def foot_jet(g_expr, order: int) -> XRPolynomial:
+def foot_jet(edge, order: int) -> XRPolynomial:
     """Closest-point parameter t(x) of the n = 2 edge as an x-series.
 
     The same Newton-on-series construction as gamma_jet; returns the jet
     of the edge-flattening tangential coordinate y_1 = t (an r-free
     polynomial), exact through total degree ``order``.
     """
-    return _foot_series(_graph_coeffs(g_expr), order, max(3, order.bit_length() + 2))
+    return _foot_series(_graph_coeffs(edge), order, max(3, order.bit_length() + 2))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateWeight, SingularSystem
 from .expansion import RateReport, _node_samples, _poly_from_coeffs, _sup_rates, evaluate_poly
-from .geometry import GammaJet, flat_jet
+from .geometry import GammaJet, SlitGeometry, _compose, flat_jet
 from .solver import GridSolution, _lstsq_poly
 from .whitney import YPolynomial
 from .xrpoly import XRPolynomial, _jet_terms, _sweep, poly_bracket
@@ -125,11 +125,6 @@ class NeumannPair:
     weight: XRPolynomial = field(default=None)
     residual: XRPolynomial = field(default=None)
 
-    def composite(self, EQ: XRPolynomial) -> XRPolynomial:
-        """V = N * E(Q) + r * P, the polynomial whose weighted Laplacian
-        vanishes to the corrector order."""
-        return self.weight * EQ + self.P.mul_r_power(1)
-
 
 def _q_to_xr(Q: YPolynomial, foot: XRPolynomial | None, degree: int) -> XRPolynomial:
     """Q composed with the edge-flattening coordinate as an x-series.
@@ -149,22 +144,10 @@ def _q_to_xr(Q: YPolynomial, foot: XRPolynomial | None, degree: int) -> XRPolyno
     return out.truncate(degree)
 
 
-def _poly_mul_t(a: list, b: list, deg: int) -> list:
-    out = [Fraction(0)] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > deg:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > deg:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
                        weight: XRPolynomial | None = None,
                        foot: XRPolynomial | None = None,
-                       edge: list | None = None,
+                       edge=None,
                        free_b1: dict | None = None) -> NeumannPair:
     """Corrector P of degree k+1 for the pair (Q, P).
 
@@ -193,29 +176,22 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
 
     # edge condition: P(x(t), 0) = 0 through degree k+1.  The flat edge
     # is x_n = 0, where only the mu_n = 0 layer survives and stays zero;
-    # on a curved edge x = (t, g(t)) the graph series g(t) = sum_j
-    # edge[j] t^j supplied by the caller (edge[0] = edge[1] = 0 by
-    # normalization) is substituted into the r-free part and the
-    # condition solved coefficient by coefficient over the rationals
+    # on a curved edge x = (t, g(t)), with g(t) = sum_j edge[j] t^j
+    # supplied by the caller, the free mu_n != 0 entries are substituted
+    # into the r-free part and the mu_n = 0 entries cancel their trace
     if not jet.is_flat:
         if edge is None:
             raise ValueError("curved pair solve needs the edge graph series")
-        gcoef = [Fraction(v) for v in edge] + [Fraction(0)] * (deg + 2)
-        if gcoef[0] != 0 or gcoef[1] != 0:
-            raise ValueError("edge graph must satisfy g(0) = g'(0) = 0")
-        for j in range(deg + 1):
-            acc = Fraction(0)
-            for (mu, m), v in sorted(a.items()):
-                if m != 0 or v == 0:
-                    continue
-                ser = [Fraction(0)] * (deg + 2)
-                if mu[0] <= deg + 1:
-                    ser[mu[0]] = v
-                for _ in range(mu[1]):
-                    ser = _poly_mul_t(ser, gcoef[: deg + 2], deg + 1)
-                acc += ser[j]
-            key = ((j, 0), 0)
-            a[key] = a.get(key, Fraction(0)) - acc
+        t = XRPolynomial.x_var(1, 0)
+        gt = _compose(SlitGeometry(2, edge).coeffs, t, deg)
+        trace = XRPolynomial.zero(1)
+        for (mu, m), v in a.items():
+            term = XRPolynomial.monomial(1, mu[:1], 0, v)
+            for _ in range(mu[1]):
+                term = (term * gt).truncate(deg)
+            trace = trace + term
+        for ((j,), _), v in trace.items():
+            a[((j, 0), 0)] = -v
 
     # the l >= 1 layers: W(r P) = r^2 * (bracket of P), so P solves the
     # approximating sweep against -W(N E(Q)) / r^2
@@ -241,7 +217,6 @@ class QuotientField:
     i: int
     values: np.ndarray
     valid: np.ndarray
-    extension: str = "centered differences off the slit; quadratic-in-t edge extrapolation"
 
     @property
     def n(self) -> int:
@@ -254,7 +229,7 @@ class QuotientField:
         return RegularGridInterpolator(tuple(self.u.axes[:-1]), slab,
                                        bounds_error=False, fill_value=np.nan)
 
-    def trace_and_normal(self, Z, steps=None) -> tuple[float, float]:
+    def trace_and_normal(self, Z) -> tuple[float, float]:
         """One-sided edge limit and normal derivative at edge point Z.
 
         Quadratic fit of w(Z + t nu, z = 0) at t in {2h, 4h, 8h}: the
@@ -264,25 +239,24 @@ class QuotientField:
 
         Z = np.asarray(Z, dtype=float)
         h = self.u.local_h() if self.u.grading else self.u.h
-        if steps is None:
-            steps = np.array([2.0, 4.0, 8.0]) * max(h, self.u.h * 0.25)
+        steps = np.array([2.0, 4.0, 8.0]) * max(h, self.u.h * 0.25)
         fr = frame_fields(self.u.geom, Z[None, :], np.zeros(1))
         nu = fr["nu"][0]
         interp = self._plane_interp()
-        pts = Z[None, :] + np.asarray(steps)[:, None] * nu[None, :]
+        pts = Z[None, :] + steps[:, None] * nu[None, :]
         vals = interp(pts)
         if np.any(np.isnan(vals)):
             raise DegenerateWeight("edge extrapolation hit invalid quotient nodes")
-        A = np.vstack([np.ones(len(steps)), steps, np.asarray(steps) ** 2]).T
+        A = np.vstack([np.ones(len(steps)), steps, steps**2]).T
         coef = np.linalg.lstsq(A, vals, rcond=None)[0]
         return float(coef[0]), float(coef[1])
 
 
-def quotient(u: GridSolution, i: int, floor_frac: float = 1e-3) -> QuotientField:
+def quotient(u: GridSolution, i: int) -> QuotientField:
     """Quotient w = u_i/u_n via axis differences on the grid.
 
     ``valid`` marks nodes where u_n is safely positive: off the slit,
-    u_n comparable to U0/r times its edge value.  A sign change of u_n
+    |u_n| above 1e-3 max |u|, and u0 >= sqrt(r)/4.  A sign change of u_n
     on the valid set raises DegenerateWeight.
     """
     n = u.n
@@ -295,7 +269,7 @@ def quotient(u: GridSolution, i: int, floor_frac: float = 1e-3) -> QuotientField
     r = fr["r"].reshape(u.values.shape)
     u0 = fr["u0"].reshape(u.values.shape)
     scale = np.abs(u.values).max()
-    floor = floor_frac * scale
+    floor = 1e-3 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(np.abs(u_n) > floor, u_i / np.where(np.abs(u_n) > floor, u_n, 1.0), np.nan)
     valid = (np.abs(u_n) > floor) & ~u.slit_mask & (u0 >= 0.25 * np.sqrt(np.maximum(r, 1e-300)))

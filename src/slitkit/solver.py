@@ -1,4 +1,4 @@
-"""Reference solvers for Delta u = (U0/r) f on slit domains.
+"""Reference solvers for the Laplacian on slit domains.
 
 Three backends:
 
@@ -22,7 +22,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -75,7 +75,7 @@ class HalfAngleSeries:
 
 
 def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int,
-                    tol: float = 1e-8, method: str = "quad") -> HalfAngleSeries:
+                    method: str = "quad") -> HalfAngleSeries:
     """Dirichlet solve on the slit disc by half-integer cosine projection.
 
     c_q = (1/pi) * integral_{-pi}^{pi} phi(theta) cos(q theta) dtheta;
@@ -86,7 +86,7 @@ def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int,
     ``method="fixed"`` evaluates all projections on one composite
     Gauss-Legendre grid (64 panels x 24 nodes), accurate to ~1e-12 for
     smooth data and two orders of magnitude faster for root-finding
-    sweeps.
+    sweeps.  A last coefficient above 1e-8 emits TruncationWarning.
     """
     qs = (2 * np.arange(N) + 1) / 2.0
     c = np.empty(N)
@@ -108,9 +108,9 @@ def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int,
             c[j] = val / math.pi
     else:
         raise ValueError(f"unknown method {method!r}")
-    if abs(c[-1]) > tol:
+    if abs(c[-1]) > 1e-8:
         warnings.warn(
-            f"series not resolved: |c_{qs[-1]}| = {abs(c[-1]):.3e} > {tol}",
+            f"series not resolved: |c_{qs[-1]}| = {abs(c[-1]):.3e} > 1e-08",
             TruncationWarning,
         )
     return HalfAngleSeries(coefficients=c, N=N)
@@ -221,7 +221,7 @@ class GridSolution:
             self.frames = _grid_frames(self.geom, self.axes)
         return self.frames
 
-    def local_h(self, Z=None) -> float:
+    def local_h(self) -> float:
         """Representative spacing near the edge (max axis step at the
         first few cells), used for the r >= 4h sampling exclusions."""
         steps = []
@@ -308,12 +308,7 @@ def _classify(geom: SlitGeometry, axes: list, h: float):
 
     xn = grids[n - 1]
     z = grids[n]
-    if geom.flat:
-        g_of = np.zeros_like(xn)
-    elif n == 2:
-        g_of = np.asarray(geom.g(grids[0]), dtype=float) * np.ones_like(xn)
-    else:
-        g_of = np.zeros_like(xn)
+    g_of = geom.g(grids[0])
     # local x_n spacing for the half-cell mask shift
     a_n = axes[n - 1]
     dxn = np.empty_like(a_n)
@@ -424,7 +419,7 @@ class _FVSystem:
         np.add.at(b, self.b_rows, self.b_T * dirichlet_values.ravel()[self.b_nodes])
         return b
 
-    def solve(self, b: np.ndarray, tol: float = 1e-11, x0=None) -> np.ndarray:
+    def solve(self, b: np.ndarray, x0=None) -> np.ndarray:
         ndim = len(self.dims)
         if self.nun <= (150_000 if ndim <= 2 else 25_000):
             # sparse direct stays cheap for planar problems; 3D fill-in
@@ -443,7 +438,7 @@ class _FVSystem:
         M = (sparse.diags(1.0 / self.A.diagonal()) if self._ml == "diag"
              else self._ml.aspreconditioner())
         bnorm = np.linalg.norm(b)
-        x, info = spla.cg(self.A, b, rtol=tol, atol=tol * max(bnorm, 1.0),
+        x, info = spla.cg(self.A, b, rtol=1e-11, atol=1e-11 * max(bnorm, 1.0),
                           maxiter=2000, M=M, x0=x0)
         if info != 0:
             resid = np.linalg.norm(b - self.A @ x) / max(bnorm, 1e-300)
@@ -535,7 +530,7 @@ def _laplacian_d(sol: GridSolution):
     the foot point, zero for flat geometry."""
     fr = sol.node_frames()
     geom = sol.geom
-    if geom.flat or sol.n == 1:
+    if geom.flat:
         return np.zeros_like(fr["r"])
     t = fr["foot"]
     gp = np.asarray(geom.dg(t), dtype=float)
@@ -597,21 +592,20 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
 # Main FD entry point
 # ----------------------------------------------------------------------
 
-def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
-             h: float = 2**-6, grading: dict | None = None, split: bool = False,
-             raw_rhs: Callable | None = None, tol: float = 1e-11) -> GridSolution:
-    """Solve Delta u = (U0/r) f (or a raw right-hand side) on the slit
-    half-space grid: Dirichlet phi outside the unit sphere, zero on the
-    slit mask, natural Neumann on the symmetry plane.
+def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
+             grading: dict | None = None, split: bool = False,
+             raw_rhs: Callable | None = None) -> GridSolution:
+    """Solve Delta u = raw_rhs (default 0) on the slit half-space grid:
+    Dirichlet phi outside the unit sphere, zero on the slit mask,
+    natural Neumann on the symmetry plane.
 
-    ``phi(x..., z)`` and ``f(x..., z)`` take coordinate arrays.  With
+    ``phi(x..., z)`` and ``raw_rhs(x..., z)`` take coordinate arrays.  With
     ``split=True`` a fitted multiple of the edge profile is subtracted
     and re-added, restoring near-second-order convergence.
     """
     sol = empty_solution(geom, h, grading)
     axes, dims, slit, outer = sol.axes, sol.dims, sol.slit_mask, sol.dirichlet_mask
     interior = ~outer & ~slit
-    fr = sol.node_frames()
 
     grids = np.meshgrid(*axes, indexing="ij")
     coords = [g.ravel() for g in grids]
@@ -619,9 +613,6 @@ def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
     diri_vals = np.where(outer.ravel(), phi_vals, 0.0).reshape(dims)
 
     rhs = np.zeros(dims)
-    if f is not None:
-        inv_r = np.where(fr["r"] > 0, 1.0 / np.where(fr["r"] > 0, fr["r"], 1.0), 0.0)
-        rhs += (np.asarray(f(*coords), dtype=float) * fr["u0"] * inv_r).reshape(dims)
     if raw_rhs is not None:
         rhs += np.asarray(raw_rhs(*coords), dtype=float).reshape(dims)
 
@@ -631,7 +622,7 @@ def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
     def run(dirichlet, rhs_field):
         nonlocal last_u
         b = system.rhs(dirichlet, -rhs_field)
-        u = system.solve(b, tol, x0=last_u)
+        u = system.solve(b, x0=last_u)
         last_u = u
         out = dirichlet.copy()
         out[interior] = u[system.idx[interior]]
@@ -663,18 +654,16 @@ def solve_fd(geom: SlitGeometry, phi: Callable, f: Callable | None = None,
 # Barrier and energy
 # ----------------------------------------------------------------------
 
-def check_barrier(geom: SlitGeometry, h: float = 2**-6, core: float | None = None) -> float:
+def check_barrier(geom: SlitGeometry, h: float = 2**-6) -> float:
     """min over off-slit nodes of r * Delta_h(-U0 + U0^2).
 
     The continuum object satisfies Delta(-U0 + U0^2) = 2|grad U0|^2
     = (1/2) r^{-1} for flat geometry, so the minimum should be a
-    positive constant, stably in h.  Nodes with r < ``core`` (default
-    4h) are excluded: within O(h) of the edge the discrete Laplacian of
-    the r^{1/2} profile is dominated by an O(h^{-1/2}) stencil artifact
-    of either sign, which the continuum estimate does not control.
+    positive constant, stably in h.  Nodes with r < 4h are excluded:
+    within O(h) of the edge the discrete Laplacian of the r^{1/2}
+    profile is dominated by an O(h^{-1/2}) stencil artifact of either
+    sign, which the continuum estimate does not control.
     """
-    if core is None:
-        core = 4 * h
     axes = make_axes(geom.n, h, None)
     dims = tuple(len(a) for a in axes)
     sol = GridSolution(geom=geom, axes=axes, values=np.zeros(dims),
@@ -709,7 +698,7 @@ def check_barrier(geom: SlitGeometry, h: float = 2**-6, core: float | None = Non
 
     grids = np.meshgrid(*axes, indexing="ij")
     R2 = sum(g**2 for g in grids)
-    sel = interior & (R2 < 0.81) & (r >= core) & ~((grids[-1] == 0) & (fr["d"].reshape(dims) < 0))
+    sel = interior & (R2 < 0.81) & (r >= 4 * h) & ~((grids[-1] == 0) & (fr["d"].reshape(dims) < 0))
     # drop the row adjacent to the slit plane as well: the stencil there
     # reaches across the jump at z = 0
     if not sel.any():

@@ -27,10 +27,27 @@ __all__ = [
 ]
 
 
-def _gauss_nodes(nquad: int):
-    """Gauss-Legendre rule on [-1/2, 1/2]."""
+def _tensor_rule(n: int, nquad: int):
+    """Tensor Gauss-Legendre rule on [-1/2, 1/2]^n: the node coordinate
+    grids and the product weights."""
     x, w = np.polynomial.legendre.leggauss(nquad)
-    return 0.5 * x, 0.5 * w
+    u, w = 0.5 * x, 0.5 * w
+    grids = np.meshgrid(*([u] * n), indexing="ij")
+    ws = np.ones_like(grids[0])
+    for i in range(n):
+        shape = [1] * n
+        shape[i] = nquad
+        ws = ws * w.reshape(shape)
+    return grids, ws
+
+
+def _monomial(grids, mu) -> np.ndarray:
+    """y^mu on the node grids."""
+    m = np.ones_like(grids[0])
+    for i, e in enumerate(mu):
+        if e:
+            m = m * grids[i] ** e
+    return m
 
 
 def _even_indices(n: int, max_order: int):
@@ -48,7 +65,6 @@ class Mollifier:
     n: int
     k: int
     poly_coeffs: dict = field(default_factory=dict)
-    quadrature: str = ""
 
     def bump(self, *ys) -> np.ndarray:
         rho2 = sum(np.asarray(y, dtype=float) ** 2 for y in ys)
@@ -68,29 +84,18 @@ class Mollifier:
             poly = poly + term
         return poly * self.bump(*ys)
 
-    def moments(self, max_order: int, nquad: int = 120) -> dict:
+    def moments(self, max_order: int) -> dict:
         """All moments up to ``max_order`` by tensor Gauss quadrature."""
-        u, w = _gauss_nodes(nquad)
-        grids = np.meshgrid(*([u] * self.n), indexing="ij")
-        ws = np.ones_like(grids[0])
-        for i in range(self.n):
-            shape = [1] * self.n
-            shape[i] = nquad
-            ws = ws * w.reshape(shape)
+        grids, ws = _tensor_rule(self.n, 120)
         vals = self(*grids) * ws
         out = {}
         for mu in itertools.product(range(max_order + 1), repeat=self.n):
-            if sum(mu) > max_order:
-                continue
-            mono = np.ones_like(grids[0])
-            for i, e in enumerate(mu):
-                if e:
-                    mono = mono * grids[i] ** e
-            out[mu] = float((vals * mono).sum())
+            if sum(mu) <= max_order:
+                out[mu] = float((vals * _monomial(grids, mu)).sum())
         return out
 
 
-def build_mollifier(n: int, k: int, nquad: int = 120) -> Mollifier:
+def build_mollifier(n: int, k: int) -> Mollifier:
     """Mollifier with unit mass and vanishing moments through order k+2.
 
     The polynomial factor uses even multi-indices only (odd moments
@@ -102,32 +107,16 @@ def build_mollifier(n: int, k: int, nquad: int = 120) -> Mollifier:
     if k > 4:
         raise ValueError("order k <= 4")
     basis = _even_indices(n, k + 2)
-    raw = Mollifier(n=n, k=k, poly_coeffs={}, quadrature=f"gauss-legendre-{nquad}")
-
-    u, w = _gauss_nodes(nquad)
-    grids = np.meshgrid(*([u] * n), indexing="ij")
-    ws = np.ones_like(grids[0])
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = nquad
-        ws = ws * w.reshape(shape)
-    bump = raw.bump(*grids) * ws
-
-    def mono(mu):
-        m = np.ones_like(grids[0])
-        for i, e in enumerate(mu):
-            if e:
-                m = m * grids[i] ** e
-        return m
-
-    G = np.array([[float((bump * mono(a) * mono(b)).sum()) for b in basis] for a in basis])
+    grids, ws = _tensor_rule(n, 120)
+    bump = Mollifier(n=n, k=k).bump(*grids) * ws
+    G = np.array([[float((bump * _monomial(grids, a) * _monomial(grids, b)).sum())
+                   for b in basis] for a in basis])
     rhs = np.zeros(len(basis))
     rhs[basis.index(tuple([0] * n))] = 1.0
     if np.linalg.cond(G) > 1e12:
         raise SingularMoments(f"moment Gram system condition {np.linalg.cond(G):.2e}")
     coef = np.linalg.solve(G, rhs)
-    return Mollifier(n=n, k=k, poly_coeffs={b: float(c) for b, c in zip(basis, coef)},
-                     quadrature=f"gauss-legendre-{nquad}")
+    return Mollifier(n=n, k=k, poly_coeffs={b: float(c) for b, c in zip(basis, coef)})
 
 
 @dataclass
@@ -173,7 +162,7 @@ def _plane_frames(geom: SlitGeometry, pts: np.ndarray) -> dict:
 
 
 def whitney_extend(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
-                   points, nquad: int = 80) -> np.ndarray:
+                   points) -> np.ndarray:
     """E(Q) at in-plane sample points (distance to the edge > 0).
 
     Substituting y~ = x + d u reduces the kernel integral to a fixed
@@ -189,13 +178,7 @@ def whitney_extend(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     if np.any(dist <= 0.0):
         raise OutOfChart("extension point lies on the edge (d = 0)")
 
-    u, w = _gauss_nodes(nquad)
-    grids = np.meshgrid(*([u] * geom.n), indexing="ij")
-    ws = np.ones_like(grids[0])
-    for i in range(geom.n):
-        shape = [1] * geom.n
-        shape[i] = nquad
-        ws = ws * w.reshape(shape)
+    grids, ws = _tensor_rule(geom.n, 80)
     rho = (mol(*grids) * ws).ravel()
     offsets = np.stack([g.ravel() for g in grids], axis=1)
 
@@ -224,23 +207,21 @@ def _fd_normal_derivative(func, x0: np.ndarray, nu: np.ndarray, order: int,
 
 
 def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
-                     Z, orders=(0, 1), approaches=None, nquad: int = 80) -> list[dict]:
+                     Z, orders=(0, 1)) -> list[dict]:
     """Defect table for D^m_nu E(Q) vs D^m_nu (Q o y) approaching the edge.
 
     Z is the edge point (in-plane); the approach runs along the edge
-    normal at Z from the positive side at geometrically shrinking
-    distances.  Each row reports the defect sequence and its fitted
+    normal at Z from the positive side at distances 2^-3 .. 2^-7.  Each row reports the defect sequence and its fitted
     approach rate; the jet-matching statement is defect -> 0 with rate
     at least k + 1 for the normal derivative.
     """
     Z = np.asarray(Z, dtype=float)
-    if approaches is None:
-        approaches = [2.0**-j for j in range(3, 8)]
+    approaches = [2.0**-j for j in range(3, 8)]
     frZ = _plane_frames(geom, Z[None, :])
     nu0 = frZ["nu"][0]
 
     def E(pts):
-        return whitney_extend(mol, Q, geom, pts, nquad=nquad)
+        return whitney_extend(mol, Q, geom, pts)
 
     def Qy(pts):
         return Q.evaluate_foot(_plane_frames(geom, pts)["foot"])

@@ -13,8 +13,11 @@ solvers, so no floats are allowed to enter the coefficient arithmetic.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
+
+from .errors import TruncationWarning
 
 MultiIndex = tuple[int, ...]
 Key = tuple[MultiIndex, int]
@@ -411,9 +414,13 @@ def solve_approximating(jet, R: XRPolynomial, k: int,
     The coefficients a_{mu,0} are free data; unspecified ones default to
     zero.  The remaining coefficients come from the triangular sweep
     ``_sweep``.  On a curved jet the result is exact through degree k
-    only when ``jet.order >= k + 1`` (see ``laplacian_monomial``).
+    only when ``jet.order >= k + 1`` (see ``laplacian_monomial``); a
+    shorter jet raises TruncationWarning.
     """
     n = jet.n
+    if not jet.is_flat and jet.order < k + 1:
+        warnings.warn(f"jet of order {jet.order} < k + 1 = {k + 1}: the bracket is "
+                      f"exact only through degree {jet.order - 1}", TruncationWarning)
     if R.degree > k:
         raise ValueError("right-hand side degree exceeds k")
     if R.norm() > 1:

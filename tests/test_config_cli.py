@@ -53,8 +53,13 @@ class TestConfig:
             ExperimentConfig(scales=[0.25, 0.5])
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            ExperimentConfig(geometry="circle")
+        for geometry, n in [("circle", 1), (3, 1), ("parabola:", 2), ("parabola:abc", 2),
+                            ("parabola:nan", 2), ("parabola:inf", 2), ("parabola:0.25", 1)]:
+            with pytest.raises(ConfigInvalid, match="geometry"):
+                ExperimentConfig(geometry=geometry, n=n)
+
+    def test_exact_parabola_accepted(self):
+        assert ExperimentConfig(geometry="parabola:1/4", n=2).geometry == "parabola:1/4"
 
 
 def run_cli(args, tmp_path):
@@ -111,6 +116,18 @@ class TestCLI:
         assert cli.main(["energy", "--output", str(tmp_path)]) == 0
         body = (tmp_path / "energy" / "energy.csv").read_text()
         assert body.startswith("quantity,value\nenergy,")
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--geometry", "parabola:abc", "--n", "2"],
+        ["solve", "--geometry", "parabola:nan", "--n", "2"],
+        ["barrier", "--geometry", "parabola:0.25", "--n", "1"],
+    ])
+    def test_bad_geometry_refused_before_solve(self, tmp_path, no_solve, capsys, args):
+        from slitkit import cli
+
+        assert cli.main([*args, "--output", str(tmp_path)]) == 2
+        assert "config error: geometry" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfgfile = tmp_path / "bad.yaml"
