@@ -13,6 +13,8 @@ Three backends:
   free boundary pipeline.
 
 Plus the barrier and energy utilities used by the compactness arguments.
+The finite-volume solve, the Dirichlet energy and the barrier share one
+description of the grid's cells and faces (``_cells``).
 """
 
 from __future__ import annotations
@@ -44,17 +46,16 @@ class HalfAngleSeries:
     Even in x_2, harmonic off the slit, vanishing on theta = +-pi.
     """
 
-    coefficients: np.ndarray  # c_q for q = (2j+1)/2, j = 0..N-1
-    N: int
+    coefficients: np.ndarray  # c_q for q = (2j+1)/2, j = 0, 1, ...
 
     @property
     def orders(self) -> np.ndarray:
-        return (2 * np.arange(self.N) + 1) / 2.0
+        return (2 * np.arange(len(self.coefficients)) + 1) / 2.0
 
     def tail_bound(self, rho: float) -> float:
         """Crude evaluation-error bound inside radius rho from the last
         retained coefficient, assuming the recorded decay continues."""
-        if self.N < 2:
+        if len(self.coefficients) < 2:
             return abs(self.coefficients[-1]) * rho ** self.orders[-1]
         cN = abs(self.coefficients[-1])
         q = self.orders[-1]
@@ -113,7 +114,7 @@ def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int,
             f"series not resolved: |c_{qs[-1]}| = {abs(c[-1]):.3e} > 1e-08",
             TruncationWarning,
         )
-    return HalfAngleSeries(coefficients=c, N=N)
+    return HalfAngleSeries(coefficients=c)
 
 
 # ----------------------------------------------------------------------
@@ -234,27 +235,14 @@ class GridSolution:
         return float(max(steps))
 
     def evaluate(self, X) -> np.ndarray:
-        """Multilinear interpolation; even in the vertical coordinate."""
+        """Multilinear interpolation; even in the vertical coordinate,
+        constant beyond the box along each axis."""
+        from scipy.interpolate import RegularGridInterpolator
+
         X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
         X[:, -1] = np.abs(X[:, -1])
-        out = np.zeros(X.shape[0])
-        idx = []
-        lam = []
-        for a_i, a in enumerate(self.axes):
-            i = np.clip(np.searchsorted(a, X[:, a_i]) - 1, 0, len(a) - 2)
-            t = (X[:, a_i] - a[i]) / (a[i + 1] - a[i])
-            idx.append(i)
-            lam.append(np.clip(t, 0.0, 1.0))
-        dim = len(self.axes)
-        for corner in range(2**dim):
-            w = np.ones(X.shape[0])
-            ii = []
-            for a_i in range(dim):
-                bit = (corner >> a_i) & 1
-                w = w * (lam[a_i] if bit else 1.0 - lam[a_i])
-                ii.append(idx[a_i] + bit)
-            out += w * self.values[tuple(ii)]
-        return out
+        X = np.clip(X, [a[0] for a in self.axes], [a[-1] for a in self.axes])
+        return RegularGridInterpolator(tuple(self.axes), self.values)(X)
 
     def save_csv(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -326,85 +314,72 @@ def _classify(geom: SlitGeometry, axes: list, h: float):
     return slit, outer, interior
 
 
+def _cells(axes: list):
+    """Node-centered finite-volume cells of a tensor grid.
+
+    Returns ``(vol, faces)``: the cell volumes, and per axis a face
+    record ``(lo, hi, T)`` with the node slices on either side of each
+    face and its transmissibility T = area / distance.  The solve, the
+    Dirichlet energy and the barrier all read these.
+    """
+    widths = [_cell_widths(a) for a in axes]
+    vol = functools.reduce(np.multiply, np.ix_(*widths))
+    faces = []
+    for i, (a, w) in enumerate(zip(axes, widths)):
+        shape = [-1 if j == i else 1 for j in range(len(axes))]
+        lo = (slice(None),) * i + (slice(0, -1),)
+        hi = (slice(None),) * i + (slice(1, None),)
+        faces.append((lo, hi, (vol / w.reshape(shape))[lo] / np.diff(a).reshape(shape)))
+    return vol, faces
+
+
 class _FVSystem:
     """Finite-volume operator on a half-space tensor grid, assembled
     once per grid and reused across solves (the matrix depends only on
     the node classification, not on the data).
 
-    Fluxes between node-centered cells; the z = 0 face is a natural
-    (homogeneous Neumann) wall by the half-cell construction.  SPD.
-    Small systems are solved by sparse LU, factored once per instance
-    with a symmetric ordering on A^T + A and no pivoting, which keeps
-    the factor small: 5.8 M nonzeros against 10.4 M for the default
-    column ordering on the flat 2-D h = 1/256 grid.
+    Fluxes between the node-centered cells of ``_cells``, the same cells
+    and faces the energy and the barrier read; the z = 0 face is a
+    natural (homogeneous Neumann) wall by the half-cell construction.
+    SPD.  Small systems are solved by sparse LU, factored once per
+    instance with a symmetric ordering on A^T + A and no pivoting, which
+    keeps the factor small: 5.8 M nonzeros against 10.4 M for the
+    default column ordering on the flat 2-D h = 1/256 grid.
     """
 
     def __init__(self, axes: list, interior: np.ndarray):
-        dims = tuple(len(a) for a in axes)
-        ndim = len(dims)
-        self.axes = axes
-        self.dims = dims
-        self.interior = interior
-        widths = [_cell_widths(a) for a in axes]
+        self.dims = interior.shape
+        self.vol, faces = _cells(axes)
+        self.ii = np.nonzero(interior)
+        self.nun = nun = len(self.ii[0])
+        idx = np.full(self.dims, -1, dtype=np.int64)
+        idx[self.ii] = np.arange(nun)
+        flat_index = np.arange(interior.size).reshape(self.dims)
 
-        vol = np.ones(dims)
-        for i, w in enumerate(widths):
-            shape = [1] * ndim
-            shape[i] = dims[i]
-            vol = vol * w.reshape(shape)
-        self.vol = vol
-
-        idx = np.full(dims, -1, dtype=np.int64)
-        ii = np.nonzero(interior)
-        nun = len(ii[0])
-        idx[ii] = np.arange(nun)
-        self.idx = idx
-        self.ii = ii
-        self.nun = nun
-
-        diag = np.zeros(dims)
+        diag = np.zeros(self.dims)
         rows, cols, vals = [], [], []
         # boundary coupling stored as (interior flat index, boundary
         # flat node index, transmissibility) for rhs assembly
         b_rows, b_nodes, b_T = [], [], []
-        flat_index = np.arange(int(np.prod(dims))).reshape(dims)
-
-        for a_i in range(ndim):
-            c = axes[a_i]
-            dist = np.diff(c)
-            area = vol / widths[a_i].reshape([dims[a_i] if j == a_i else 1 for j in range(ndim)])
-            sl_lo = [slice(None)] * ndim
-            sl_hi = [slice(None)] * ndim
-            sl_lo[a_i] = slice(0, dims[a_i] - 1)
-            sl_hi[a_i] = slice(1, dims[a_i])
-            T = area[tuple(sl_lo)] / dist.reshape(
-                [dims[a_i] - 1 if j == a_i else 1 for j in range(ndim)]
-            )
-            lo_int = interior[tuple(sl_lo)]
-            hi_int = interior[tuple(sl_hi)]
-            lo_idx = idx[tuple(sl_lo)]
-            hi_idx = idx[tuple(sl_hi)]
-            both = lo_int & hi_int
-            diag[tuple(sl_lo)] += T * lo_int
-            diag[tuple(sl_hi)] += T * hi_int
-            lo_only = lo_int & ~hi_int
-            hi_only = hi_int & ~lo_int
-            b_rows.append(lo_idx[lo_only])
-            b_nodes.append(flat_index[tuple(sl_hi)][lo_only])
-            b_T.append(T[lo_only])
-            b_rows.append(hi_idx[hi_only])
-            b_nodes.append(flat_index[tuple(sl_lo)][hi_only])
-            b_T.append(T[hi_only])
-            rows.append(lo_idx[both].astype(np.int32))
-            cols.append(hi_idx[both].astype(np.int32))
+        for lo, hi, T in faces:
+            diag[lo] += T * interior[lo]
+            diag[hi] += T * interior[hi]
+            both = interior[lo] & interior[hi]
+            rows.append(idx[lo][both])
+            cols.append(idx[hi][both])
             vals.append(-T[both])
+            for near, far in ((lo, hi), (hi, lo)):
+                one = interior[near] & ~interior[far]
+                b_rows.append(idx[near][one])
+                b_nodes.append(flat_index[far][one])
+                b_T.append(T[one])
 
         r = np.concatenate(rows)
         cm = np.concatenate(cols)
         v = np.concatenate(vals)
-        dr = np.arange(nun, dtype=np.int32)
+        dr = np.arange(nun)
         self.A = sparse.coo_matrix(
-            (np.concatenate([v, v, diag[ii]]),
+            (np.concatenate([v, v, diag[self.ii]]),
              (np.concatenate([r, cm, dr]), np.concatenate([cm, r, dr]))),
             shape=(nun, nun),
         ).tocsr()
@@ -625,7 +600,7 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
         u = system.solve(b, x0=last_u)
         last_u = u
         out = dirichlet.copy()
-        out[interior] = u[system.idx[interior]]
+        out[interior] = u
         out[slit] = 0.0
         return out
 
@@ -657,50 +632,33 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
 def check_barrier(geom: SlitGeometry, h: float = 2**-6) -> float:
     """min over off-slit nodes of r * Delta_h(-U0 + U0^2).
 
-    The continuum object satisfies Delta(-U0 + U0^2) = 2|grad U0|^2
-    = (1/2) r^{-1} for flat geometry, so the minimum should be a
-    positive constant, stably in h.  Nodes with r < 4h are excluded:
-    within O(h) of the edge the discrete Laplacian of the r^{1/2}
-    profile is dominated by an O(h^{-1/2}) stencil artifact of either
-    sign, which the continuum estimate does not control.
+    Delta_h is the finite-volume Laplacian of ``_cells``: the net face
+    flux sum T * (jump across the face) over the cell volume, which at
+    z = 0 is the even reflection through the half cell.  The continuum
+    object satisfies Delta(-U0 + U0^2) = 2|grad U0|^2 = (1/2) r^{-1} for
+    flat geometry, so the minimum should be a positive constant, stably
+    in h.  Nodes with r < 4h are excluded: within O(h) of the edge the
+    discrete Laplacian of the r^{1/2} profile is dominated by an
+    O(h^{-1/2}) stencil artifact of either sign, which the continuum
+    estimate does not control.  So is the slit itself (z = 0, d < 0),
+    where the stencil reaches across the jump, and every node with
+    |X| >= 0.9, which takes in the box faces.
     """
     axes = make_axes(geom.n, h, None)
-    dims = tuple(len(a) for a in axes)
-    sol = GridSolution(geom=geom, axes=axes, values=np.zeros(dims),
-                       slit_mask=np.zeros(dims, bool), dirichlet_mask=np.zeros(dims, bool),
-                       h=h)
-    fr = sol.node_frames()
-    u0 = fr["u0"].reshape(dims)
-    r = fr["r"].reshape(dims)
+    fr = _grid_frames(geom, axes)
+    vol, faces = _cells(axes)
+    u0 = fr["u0"].reshape(vol.shape)
     w = -u0 + u0**2
+    div = np.zeros(vol.shape)
+    for lo, hi, T in faces:
+        flux = T * (w[hi] - w[lo])
+        div[lo] += flux
+        div[hi] -= flux
+    lap = (div / vol).ravel()
 
-    lap = np.zeros(dims)
-    ndim = len(dims)
-    interior = np.ones(dims, bool)
-    for a_i in range(ndim):
-        sl_c = [slice(None)] * ndim
-        sl_c[a_i] = slice(1, dims[a_i] - 1)
-        sl_m = list(sl_c); sl_m[a_i] = slice(0, dims[a_i] - 2)
-        sl_p = list(sl_c); sl_p[a_i] = slice(2, dims[a_i])
-        add = np.zeros(dims)
-        add[tuple(sl_c)] = (w[tuple(sl_p)] - 2 * w[tuple(sl_c)] + w[tuple(sl_m)]) / h**2
-        if a_i == ndim - 1:
-            # even reflection across z = 0
-            sl0 = [slice(None)] * ndim; sl0[a_i] = 0
-            sl1 = [slice(None)] * ndim; sl1[a_i] = 1
-            add[tuple(sl0)] = 2.0 * (w[tuple(sl1)] - w[tuple(sl0)]) / h**2
-        else:
-            edge = np.zeros(dims, bool)
-            sl0 = [slice(None)] * ndim; sl0[a_i] = [0, dims[a_i] - 1]
-            edge[tuple(sl0)] = True
-            interior &= ~edge
-        lap += add
-
-    grids = np.meshgrid(*axes, indexing="ij")
-    R2 = sum(g**2 for g in grids)
-    sel = interior & (R2 < 0.81) & (r >= 4 * h) & ~((grids[-1] == 0) & (fr["d"].reshape(dims) < 0))
-    # drop the row adjacent to the slit plane as well: the stencil there
-    # reaches across the jump at z = 0
+    r = fr["r"]
+    R2 = sum(x**2 for x in fr["x"].T) + fr["z"] ** 2
+    sel = (R2 < 0.81) & (r >= 4 * h) & ~((fr["z"] == 0) & (fr["d"] < 0))
     if not sel.any():
         raise MaskDegenerate("no admissible nodes for the barrier check")
     return float(np.min(r[sel] * lap[sel]))
@@ -709,51 +667,25 @@ def check_barrier(geom: SlitGeometry, h: float = 2**-6) -> float:
 def compute_energy(sol: GridSolution) -> float:
     """Dirichlet energy over the reflected ball plus the plate term.
 
-    E = sum |grad_h u|^2 * cell volume over {|X| < 1} (even reflection
-    doubles the half-space sum) + (pi/2) * measure({u > 0, z = 0}),
-    with one-sided differences at the slit.
+    E = 2 sum T (u[hi] - u[lo])^2 over the ``_cells`` faces whose
+    midpoint lies in {|X| < 1} (the even reflection doubles the
+    half-space sum; T * jump^2 is |grad_h u|^2 times the face's cell
+    measure) + (pi/2) * measure({u > 0, z = 0}), with one-sided
+    differences at the slit.
     """
     axes = sol.axes
-    dims = sol.dims
     u = sol.values
-    ndim = len(dims)
-    widths = [_cell_widths(a) for a in axes]
-    grids = np.meshgrid(*axes, indexing="ij")
-
+    _, faces = _cells(axes)
     E = 0.0
-    for a_i in range(ndim):
-        c = axes[a_i]
-        dist = np.diff(c)
-        sl_lo = [slice(None)] * ndim
-        sl_hi = [slice(None)] * ndim
-        sl_lo[a_i] = slice(0, dims[a_i] - 1)
-        sl_hi[a_i] = slice(1, dims[a_i])
-        du = (u[tuple(sl_hi)] - u[tuple(sl_lo)]) / dist.reshape(
-            [dims[a_i] - 1 if j == a_i else 1 for j in range(ndim)]
-        )
-        # edge measure: product of transverse widths times the distance
-        measure = np.ones(du.shape)
-        for j in range(ndim):
-            wj = dist if j == a_i else widths[j]
-            shape = [1] * ndim
-            shape[j] = du.shape[j]
-            measure = measure * wj.reshape(shape)
-        mid_in = sum(
-            ((g[tuple(sl_lo)] + g[tuple(sl_hi)]) / 2.0) ** 2 for g in grids
-        ) < 1.0
-        E += 2.0 * np.sum(du[mid_in] ** 2 * measure[mid_in])
+    for i, (lo, hi, T) in enumerate(faces):
+        mids = [a if j != i else (a[:-1] + a[1:]) / 2.0 for j, a in enumerate(axes)]
+        mid_in = sum(m**2 for m in np.ix_(*mids)) < 1.0
+        E += 2.0 * np.sum((T * (u[hi] - u[lo]) ** 2)[mid_in])
 
     # plate measure {u > 0} on z = 0 inside the ball
-    sl0 = [slice(None)] * ndim
-    sl0[-1] = 0
-    plate_u = u[tuple(sl0)]
-    inside = sum(g[tuple(sl0)] ** 2 for g in grids[:-1]) < 1.0
-    pos = (plate_u > 0) & inside
-    if ndim == 2:
-        measure_plate = float(np.sum(_cell_widths(axes[0])[pos]))
-    else:
-        plate = np.outer(_cell_widths(axes[0]), _cell_widths(axes[1]))
-        measure_plate = float(np.sum(plate[pos]))
+    plate = functools.reduce(np.multiply, np.ix_(*map(_cell_widths, axes[:-1])))
+    inside = sum(x**2 for x in np.ix_(*axes[:-1])) < 1.0
+    measure_plate = float(np.sum(plate[(u[..., 0] > 0) & inside]))
     return float(E + (math.pi / 2.0) * measure_plate)
 
 

@@ -51,7 +51,7 @@ class TestSeries:
         assert np.abs(sq.coefficients - sf.coefficients).max() < 1e-11
 
     def test_evaluation_matches_polar_form(self):
-        s = HalfAngleSeries(coefficients=np.array([1.0, 0.5]), N=2)
+        s = HalfAngleSeries(coefficients=np.array([1.0, 0.5]))
         r, th = 0.3, 1.1
         expect = math.sqrt(r) * math.cos(th / 2) + 0.5 * r**1.5 * math.cos(1.5 * th)
         assert abs(s.evaluate_polar(np.array(r), np.array(th)) - expect) < 1e-14
@@ -62,7 +62,7 @@ class TestSeries:
             solve_series_2d(lambda t: np.abs(np.cos(t / 2.0)) ** 0.25, 4)
 
     def test_tail_bound_monotone(self):
-        s = HalfAngleSeries(coefficients=np.array([1.0, 0.3, 0.1]), N=3)
+        s = HalfAngleSeries(coefficients=np.array([1.0, 0.3, 0.1]))
         assert s.tail_bound(0.2) < s.tail_bound(0.5)
 
 
@@ -248,6 +248,13 @@ class TestBarrier:
         geo = parabola_geometry(0.25)
         assert check_barrier(geo, h=2**-4) > 0.0
 
+    def test_laplacian_uses_the_grid_step(self):
+        # make_axes rounds the node count, so h = 0.0624 builds the 1/16
+        # grid; the Laplacian must divide by that grid's cells, not by h^2
+        g = flat_geometry(1)
+        assert all(np.array_equal(a, b) for a, b in zip(make_axes(1, 0.0624), make_axes(1, 1 / 16)))
+        assert check_barrier(g, h=0.0624) == check_barrier(g, h=1 / 16)
+
 
 class TestEnergy:
     @staticmethod
@@ -287,3 +294,21 @@ class TestEnergy:
         sol.values = 0.5 * base
         e_half = compute_energy(sol)
         assert abs((e2 - e1) - 4.0 * (e1 - e_half)) < 1e-10
+
+    @pytest.mark.parametrize("n, h, grading", [
+        (1, 2**-5, None), (1, 2**-5, {"type": "power", "p": 2.0}),
+        (2, 1 / 16, {"type": "power", "p": 2.0})])
+    def test_gradient_part_is_the_solve_operator(self, n, h, grading):
+        # u vanishes outside |X| < 1/2 and on the plate x_1 < 0, so the
+        # energy is 2 u^T A u for the all-Neumann operator of the solve
+        # plus the plate term
+        sol = solver.empty_solution(flat_geometry(n), h, grading)
+        grids = np.meshgrid(*sol.axes, indexing="ij")
+        inside = sum(g**2 for g in grids) < 0.25
+        u = np.random.default_rng(3).uniform(0.1, 1.0, sol.dims) * inside
+        u[(grids[-1] == 0) & (grids[0] < 0)] = 0.0
+        sol.values = u
+        A = solver._FVSystem(sol.axes, np.ones(sol.dims, bool)).A
+        plate = np.prod(np.meshgrid(*map(solver._cell_widths, sol.axes[:-1]), indexing="ij"), axis=0)
+        expect = 2.0 * u.ravel() @ (A @ u.ravel()) + math.pi / 2.0 * plate[u[..., 0] > 0].sum()
+        assert compute_energy(sol) == pytest.approx(expect, rel=1e-13, abs=0.0)
