@@ -228,21 +228,6 @@ def rate_report(sol, P0: XRPolynomial, Z, scales: Sequence[float],
                       min_nodes if grid else 0, label)
 
 
-def check_ball_nodes(sol: GridSolution, Z, scales: Sequence[float],
-                     min_cos: float = 0.0, min_nodes: int = 100) -> None:
-    """The node guard of ``rate_report(mode="ball")`` on its own.
-
-    Raises InsufficientResolution when the ball at some scale holds
-    fewer than ``min_nodes`` sample nodes.  It reads only the grid, so
-    it runs on an unsolved ``solver.empty_solution``.
-    """
-    dist = _node_samples(sol, Z, max(scales), min_cos)["dist"]
-    for s in sorted(scales, reverse=True):
-        count = int(np.sum(dist <= s))
-        if count < min_nodes:
-            raise InsufficientResolution(f"ball at scale {s:.4f} has {count} nodes < {min_nodes}")
-
-
 def formal_gradient(P0: XRPolynomial, jet: GammaJet) -> list[XRPolynomial]:
     """Formal horizontal gradient of U0 * P0.
 

@@ -13,7 +13,7 @@ square-root coordinate transforms with the chain-rule factor
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class FreeBoundaryResult:
     a: float
     residual: float
     series: HalfAngleSeries
-    scan_roots: list = field(default_factory=list)
 
 
 def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
@@ -142,5 +141,4 @@ def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
 
     g_star, res = refine(*sign_changes[0])
     series, a_star = _tip_series(g_star, prob.phi, prob.series_terms)
-    return FreeBoundaryResult(gamma=float(g_star), a=a_star, residual=abs(res),
-                              series=series, scan_roots=[float(g_star)])
+    return FreeBoundaryResult(gamma=float(g_star), a=a_star, residual=abs(res), series=series)

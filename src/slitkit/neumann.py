@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateWeight, SingularSystem
 from .expansion import RateReport, _node_samples, _poly_from_coeffs, _sup_rates, evaluate_poly
-from .geometry import GammaJet, SlitGeometry, _compose, flat_jet
+from .geometry import GammaJet, SlitGeometry, _compose, flat_jet, foot_jet
 from .solver import GridSolution, _lstsq_poly
 from .whitney import YPolynomial
 from .xrpoly import XRPolynomial, _jet_terms, _sweep, poly_bracket
@@ -158,13 +158,21 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     (l >= 1) by the triangular sweep of ``solve_approximating``.  Curved
     jet terms couple only to strictly lower degrees, so an ascending
     sweep is exact.
+
+    A curved jet needs ``edge``, the graph's Taylor coefficients; Q is
+    composed with ``foot``, by default that edge's ``foot_jet``.
     """
     n = jet.n
     deg = k + 1
     N = weight if weight is not None else XRPolynomial.constant(n, Fraction(1, 2))
     if N.evaluate([0] * n, 0) == 0:
         raise SingularSystem("weight expansion vanishes at the edge")
-    EQ = _q_to_xr(Q, foot if not jet.is_flat else None, k + 2)
+    if not jet.is_flat:
+        if edge is None:
+            raise ValueError("curved pair solve needs the edge graph series")
+        edge = SlitGeometry(2, edge)
+        foot = foot_jet(edge, k + 2) if foot is None else foot
+    EQ = _q_to_xr(Q, None if jet.is_flat else foot, k + 2)
 
     free_b1 = {} if free_b1 is None else free_b1
     a: dict[tuple, Fraction] = {}
@@ -180,10 +188,8 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     # supplied by the caller, the free mu_n != 0 entries are substituted
     # into the r-free part and the mu_n = 0 entries cancel their trace
     if not jet.is_flat:
-        if edge is None:
-            raise ValueError("curved pair solve needs the edge graph series")
         t = XRPolynomial.x_var(1, 0)
-        gt = _compose(SlitGeometry(2, edge).coeffs, t, deg)
+        gt = _compose(edge.coeffs, t, deg)
         trace = XRPolynomial.zero(1)
         for (mu, m), v in a.items():
             term = XRPolynomial.monomial(1, mu[:1], 0, v)

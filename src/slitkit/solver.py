@@ -271,7 +271,7 @@ def empty_solution(geom: SlitGeometry, h: float,
     """Zero values on the grid ``solve_fd`` uses: its axes, slit mask
     and outer Dirichlet mask, with no solve."""
     axes = make_axes(geom.n, h, grading)
-    slit, outer, _ = _classify(geom, axes, h)
+    slit, outer, _ = _classify(geom, axes)
     return GridSolution(geom=geom, axes=axes, values=np.zeros(tuple(len(a) for a in axes)),
                         slit_mask=slit, dirichlet_mask=outer, h=h, grading=grading)
 
@@ -287,7 +287,7 @@ def _grid_frames(geom: SlitGeometry, axes: list) -> dict:
     return fr
 
 
-def _classify(geom: SlitGeometry, axes: list, h: float):
+def _classify(geom: SlitGeometry, axes: list):
     """Node classification: slit mask, outer Dirichlet, interior."""
     n = len(axes) - 1
     grids = np.meshgrid(*axes, indexing="ij")

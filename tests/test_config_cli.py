@@ -32,8 +32,10 @@ class TestConfig:
             ExperimentConfig.from_yaml("kind: solve\nbogus: 1\n")
 
     def test_removed_fields_rejected(self):
-        for field in ("tolerance: 1.0e-8", "seed: 0"):
-            with pytest.raises(ConfigInvalid):
+        for field in ("tolerance: 1.0e-8", "seed: 0", "phi: cos-half", "min_exponent: 1.3",
+                      "residual_limit: 0.3"):
+            name = field.split(":")[0]
+            with pytest.raises(ConfigInvalid, match=rf"unknown fields: \['{name}'\]"):
                 ExperimentConfig.from_yaml(f"kind: solve\n{field}\n")
 
     def test_bad_kind_rejected(self):
@@ -80,8 +82,9 @@ def no_solve(monkeypatch):
 
 class TestCLI:
     def test_freeboundary_run(self, tmp_path):
-        proc = run_cli(["freeboundary", "--G", "1.0"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
+        from slitkit import cli
+
+        assert cli.main(["freeboundary", "--G", "1.0", "--output", str(tmp_path)]) == 0
         outdir = tmp_path / "freeboundary"
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["passed"]
@@ -90,16 +93,16 @@ class TestCLI:
         assert "gamma_star" in body
 
     def test_neumann_run(self, tmp_path):
-        proc = run_cli(["neumann", "--k", "1"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        outdir = tmp_path / "neumann"
-        assert (outdir / "constant_T.csv").exists()
+        from slitkit import cli
+
+        assert cli.main(["neumann", "--k", "1", "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "neumann" / "constant_T.csv").exists()
 
     def test_whitney_run(self, tmp_path):
-        proc = run_cli(["whitney", "--n", "1"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        outdir = tmp_path / "whitney"
-        assert (outdir / "moments.csv").exists()
+        from slitkit import cli
+
+        assert cli.main(["whitney", "--n", "1", "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "whitney" / "moments.csv").exists()
 
     def test_rates_default_rejected_before_solve(self, tmp_path, no_solve, capsys):
         # at h = 1/64 the 1/8 ball holds 53 sample nodes, fewer than the
@@ -108,6 +111,30 @@ class TestCLI:
 
         assert cli.main(["rates", "--output", str(tmp_path)]) == 2
         assert "scales: ball at scale 0.1250 has 53 nodes < 100" in capsys.readouterr().err
+
+    def test_rates_short_scales_rejected_before_solve(self, tmp_path, no_solve, capsys):
+        # the rate report's own minimum is 4 scales
+        from slitkit import cli
+
+        cfgfile = tmp_path / "short.yaml"
+        cfgfile.write_text("scales: [0.5, 0.35, 0.25]\n")
+        out = tmp_path / "out"
+        assert cli.main(["rates", "--config", str(cfgfile), "--output", str(out)]) == 2
+        assert "config error: scales" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rates_exit_code_is_report_pass_flag(self, tmp_path):
+        # a target of 0.1 moves the report's pass rule; the exit code
+        # follows the pass column that rates.csv writes
+        from slitkit import cli
+
+        cfgfile = tmp_path / "rates.yaml"
+        cfgfile.write_text("scales: [0.5, 0.35, 0.25, 0.18]\ntarget: 0.1\n")
+        rc = cli.main(["rates", "--config", str(cfgfile), "--h", repr(2**-7),
+                       "--output", str(tmp_path)])
+        passed = (tmp_path / "rates" / "rates.csv").read_text().splitlines()[-1].split(",")[-1]
+        assert passed == "True"
+        assert rc == 0
 
     def test_energy_run_needs_no_solve(self, tmp_path, no_solve):
         # the energy is that of U0 sampled on the grid

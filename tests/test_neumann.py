@@ -182,6 +182,18 @@ class TestPairSystems:
         for (mu, m), v in pair.residual.items():
             assert sum(mu) + m >= pair.k + 2, (mu, m, v)
 
+    def test_curved_default_foot_is_edge_foot(self):
+        # without foot=, Q is composed with the edge's own closest-point
+        # parameter, not with t = x1
+        from slitkit import foot_jet
+        jet = gamma_jet(T_SYM**2 / 2, 5)
+        Q = YPolynomial(2, {(2, 0): 1})
+        edge = [0, 0, Fraction(1, 2)]
+        default = solve_pair_systems(jet, Q, k=1, edge=edge)
+        given = solve_pair_systems(jet, Q, k=1, foot=foot_jet(T_SYM**2 / 2, 4), edge=edge)
+        assert default.P == given.P
+        assert default.residual == given.residual
+
     def test_missing_edge_series_rejected(self):
         jet = gamma_jet(T_SYM**2 / 2, 4)
         with pytest.raises(ValueError):

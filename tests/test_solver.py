@@ -206,7 +206,7 @@ class TestDirectSolve:
                  ([a * 0.9 for a in uniform], None), (uniform, (len(uniform[0]) // 2, 5))]
         rng = np.random.default_rng(0)
         for axes, hole in cases:
-            _, _, interior = solver._classify(g, axes, h)
+            _, _, interior = solver._classify(g, axes)
             if hole:
                 interior[hole] = False
             system = solver._FVSystem(axes, interior)
