@@ -3,10 +3,12 @@
 Every subcommand loads an ExperimentConfig (YAML file plus flag
 overrides), runs one experiment, writes CSV reports and a JSON manifest
 into the output directory, and exits nonzero iff its library check
-failed (``rates``: the report's ``pass`` column).  Boundary data is U0
-of the configured edge, or cos(theta/2) for ``freeboundary``.  CSV
-output is deterministic for a fixed config; the manifest carries the
-config hash, package versions, and wall time.
+failed (``rates``: the report's ``pass`` column; ``freeboundary``: the
+root's series passing its truncation rule).  ``energy`` refuses any
+config but flat n = 1, the only one its reference value holds for.
+Boundary data is U0 of the configured edge, or cos(theta/2) for
+``freeboundary``.  CSV output is deterministic for a fixed config; the
+manifest carries the config hash, package versions, and wall time.
 
 Output root: --output, else $SLITKIT_OUTPUT_ROOT, else ./slitkit_out.
 """
@@ -173,7 +175,9 @@ def _freeboundary(cfg, outdir):
     _write_csv(outdir / "tip_series.csv", "order,coefficient",
                [(_fmt(q), _fmt(c)) for q, c in
                 zip(res.series.orders, res.series.coefficients)])
-    return res.residual <= 1e-9
+    # the solver only returns roots with residual below 1e-9, so the
+    # check is the root's own series passing its truncation rule
+    return res.series.resolved
 
 
 def _barrier(cfg, outdir):
@@ -191,6 +195,10 @@ def _energy(cfg, outdir):
     from .geometry import flat_geometry
     from .solver import compute_energy, empty_solution
 
+    # the reference pi is the energy of U0 on the flat n = 1 slit only
+    if cfg.geometry != "flat" or cfg.n != 1:
+        raise ConfigInvalid("geometry", f"energy runs on flat n = 1 only, got "
+                                        f"{cfg.geometry} n = {cfg.n}")
     # the energy of U0 itself, sampled on the flat grid: no solve
     sol = empty_solution(flat_geometry(1), cfg.h)
     sol.values = sol.node_frames()["u0"].reshape(sol.dims)

@@ -60,21 +60,20 @@ def _pulled_back_phi(phi, gamma: float):
     return pulled
 
 
-def _tip_series(gamma: float, phi, series_terms: int, method: str = "fixed"):
+def _tip_series(gamma: float, phi, series_terms: int):
     """Half-angle series of the Moebius-normalized problem and the tip
     coefficient a it gives: the 1/2-power coefficient times
     |T'(gamma)|^(1/2)."""
     series = solve_series_2d(_pulled_back_phi(phi, gamma) if gamma != 0.0 else phi,
-                             series_terms, method=method)
+                             series_terms)
     return series, float(series.coefficients[0]) / np.sqrt(1.0 - gamma * gamma)
 
 
-def tip_coefficient(gamma: float, phi, series_terms: int = 64,
-                    method: str = "fixed") -> float:
+def tip_coefficient(gamma: float, phi, series_terms: int = 64) -> float:
     """a = du/dU0 at the tip (gamma, 0)."""
     if not -1.0 < gamma < 1.0:
         raise ValueError("tip must be inside the disc")
-    return _tip_series(gamma, phi, series_terms, method)[1]
+    return _tip_series(gamma, phi, series_terms)[1]
 
 
 @dataclass

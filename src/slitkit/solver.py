@@ -3,7 +3,9 @@
 Three backends:
 
 * an exact half-angle cosine series for the 2D problem with the slit on
-  the negative x_1-axis,
+  the negative x_1-axis, projected by one composite Gauss-Legendre rule
+  (64 panels x 24 nodes; ~1e-12 for smooth data, rounding level for
+  trigonometric data),
 * a finite-volume discretization on tensor grids of the half space
   x_{n+1} >= 0 (even symmetry gives the Neumann plane for free), with
   optional singularity splitting that subtracts a fitted multiple of the
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -52,15 +53,10 @@ class HalfAngleSeries:
     def orders(self) -> np.ndarray:
         return (2 * np.arange(len(self.coefficients)) + 1) / 2.0
 
-    def tail_bound(self, rho: float) -> float:
-        """Crude evaluation-error bound inside radius rho from the last
-        retained coefficient, assuming the recorded decay continues."""
-        if len(self.coefficients) < 2:
-            return abs(self.coefficients[-1]) * rho ** self.orders[-1]
-        cN = abs(self.coefficients[-1])
-        q = self.orders[-1]
-        # geometric tail with ratio rho
-        return cN * rho**q / max(1.0 - rho, 1e-12)
+    @property
+    def resolved(self) -> bool:
+        """The truncation rule: the last retained coefficient is at most 1e-8."""
+        return abs(self.coefficients[-1]) <= 1e-8
 
     def evaluate_polar(self, r, theta):
         r = np.asarray(r, dtype=float)
@@ -75,46 +71,34 @@ class HalfAngleSeries:
         return self.evaluate_polar(np.hypot(x1, x2), np.arctan2(x2, x1))
 
 
-def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int,
-                    method: str = "quad") -> HalfAngleSeries:
+def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int) -> HalfAngleSeries:
     """Dirichlet solve on the slit disc by half-integer cosine projection.
 
     c_q = (1/pi) * integral_{-pi}^{pi} phi(theta) cos(q theta) dtheta;
     the half-integer cosines are orthogonal on the circle with the slit
     on the negative axis, so these are the exact coefficients.
 
-    ``method="quad"`` uses adaptive quadrature per coefficient at 1e-13;
-    ``method="fixed"`` evaluates all projections on one composite
-    Gauss-Legendre grid (64 panels x 24 nodes), accurate to ~1e-12 for
-    smooth data and two orders of magnitude faster for root-finding
-    sweeps.  A last coefficient above 1e-8 emits TruncationWarning.
+    All projections are evaluated on one composite Gauss-Legendre grid
+    (64 panels x 24 nodes), accurate to ~1e-12 for smooth data.  A
+    series that fails the truncation rule (``HalfAngleSeries.resolved``)
+    emits TruncationWarning.
     """
     qs = (2 * np.arange(N) + 1) / 2.0
-    c = np.empty(N)
-    if method == "fixed":
-        xg, wg = np.polynomial.legendre.leggauss(24)
-        edges = np.linspace(-math.pi, math.pi, 65)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
-        ph = np.asarray(phi(t), dtype=float)
-        c[:] = (np.cos(qs[:, None] * t[None, :]) * (ph * w)[None, :]).sum(axis=1) / math.pi
-    elif method == "quad":
-        for j, q in enumerate(qs):
-            val, _ = scipy.integrate.quad(
-                lambda t: phi(t) * math.cos(q * t), -math.pi, math.pi,
-                epsabs=1e-13, epsrel=1e-13, limit=400,
-            )
-            c[j] = val / math.pi
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if abs(c[-1]) > 1e-8:
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(-math.pi, math.pi, 65)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
+    ph = np.asarray(phi(t), dtype=float)
+    c = (np.cos(qs[:, None] * t[None, :]) * (ph * w)[None, :]).sum(axis=1) / math.pi
+    series = HalfAngleSeries(coefficients=c)
+    if not series.resolved:
         warnings.warn(
             f"series not resolved: |c_{qs[-1]}| = {abs(c[-1]):.3e} > 1e-08",
             TruncationWarning,
         )
-    return HalfAngleSeries(coefficients=c)
+    return series
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +325,16 @@ class _FVSystem:
     Fluxes between the node-centered cells of ``_cells``, the same cells
     and faces the energy and the barrier read; the z = 0 face is a
     natural (homogeneous Neumann) wall by the half-cell construction.
-    SPD.  Small systems are solved by sparse LU, factored once per
-    instance with a symmetric ordering on A^T + A and no pivoting, which
-    keeps the factor small: 5.8 M nonzeros against 10.4 M for the
-    default column ordering on the flat 2-D h = 1/256 grid.
+    SPD.  The system size selects one of two backends:
+
+    * at most 150,000 unknowns in 2-D or 25,000 in 3-D: sparse LU,
+      factored once per instance with a symmetric ordering on A^T + A and
+      no pivoting, which keeps the factor small (5.8 M nonzeros against
+      10.4 M for the default column ordering on the flat 2-D h = 1/256
+      grid);
+    * larger systems, where 3-D fill-in is prohibitive: Jacobi-
+      preconditioned conjugate gradients to rtol 1e-11 in at most 2000
+      iterations, NonConvergence with the relative residual otherwise.
     """
 
     def __init__(self, axes: list, interior: np.ndarray):
@@ -386,7 +376,6 @@ class _FVSystem:
         self.b_rows = np.concatenate(b_rows)
         self.b_nodes = np.concatenate(b_nodes)
         self.b_T = np.concatenate(b_T)
-        self._ml = None
         self._lu = None
 
     def rhs(self, dirichlet_values: np.ndarray, rhs_field: np.ndarray) -> np.ndarray:
@@ -397,21 +386,11 @@ class _FVSystem:
     def solve(self, b: np.ndarray, x0=None) -> np.ndarray:
         ndim = len(self.dims)
         if self.nun <= (150_000 if ndim <= 2 else 25_000):
-            # sparse direct stays cheap for planar problems; 3D fill-in
-            # is prohibitive beyond small systems
             if self._lu is None:
                 self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             return self._lu.solve(b)
-        if self._ml is None:
-            try:
-                import pyamg
-            except ImportError:
-                self._ml = "diag"
-            else:
-                self._ml = pyamg.smoothed_aggregation_solver(self.A, max_coarse=500)
-        M = (sparse.diags(1.0 / self.A.diagonal()) if self._ml == "diag"
-             else self._ml.aspreconditioner())
+        M = sparse.diags(1.0 / self.A.diagonal())
         bnorm = np.linalg.norm(b)
         x, info = spla.cg(self.A, b, rtol=1e-11, atol=1e-11 * max(bnorm, 1.0),
                           maxiter=2000, M=M, x0=x0)

@@ -92,6 +92,25 @@ class TestCLI:
         body = (outdir / "freeboundary.csv").read_text()
         assert "gamma_star" in body
 
+    def test_freeboundary_exit_code_is_series_truncation(self, tmp_path):
+        # G = 2.4 puts the tip at gamma* = 0.85029, where 64 terms leave
+        # |c_63.5| = 1.4e-6 > 1e-8; 128 terms resolve the same root
+        from slitkit import TruncationWarning, cli
+
+        def gamma_star(out):
+            rows = (out / "freeboundary" / "freeboundary.csv").read_text().splitlines()
+            return float(rows[1].split(",")[1])
+
+        with pytest.warns(TruncationWarning):
+            assert cli.main(["freeboundary", "--G", "2.4", "--output",
+                             str(tmp_path / "64")]) == 1
+        cfgfile = tmp_path / "fb.yaml"
+        cfgfile.write_text("series_terms: 128\n")
+        assert cli.main(["freeboundary", "--config", str(cfgfile), "--G", "2.4",
+                         "--output", str(tmp_path / "128")]) == 0
+        assert abs(gamma_star(tmp_path / "64") - 0.85029) < 1e-5
+        assert abs(gamma_star(tmp_path / "128") - 0.85029) < 1e-5
+
     def test_neumann_run(self, tmp_path):
         from slitkit import cli
 
@@ -143,6 +162,15 @@ class TestCLI:
         assert cli.main(["energy", "--output", str(tmp_path)]) == 0
         body = (tmp_path / "energy" / "energy.csv").read_text()
         assert body.startswith("quantity,value\nenergy,")
+
+    @pytest.mark.parametrize("args", [["--n", "2"], ["--geometry", "parabola:0.25", "--n", "2"]])
+    def test_energy_refuses_other_slits(self, tmp_path, capsys, args):
+        # its reference value pi is the energy of U0 on the flat n = 1 slit
+        from slitkit import cli
+
+        assert cli.main(["energy", *args, "--output", str(tmp_path)]) == 2
+        assert "config error: geometry" in capsys.readouterr().err
+        assert not (tmp_path / "energy" / "energy.csv").exists()
 
     @pytest.mark.parametrize("args", [
         ["solve", "--geometry", "parabola:abc", "--n", "2"],

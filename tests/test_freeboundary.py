@@ -31,9 +31,20 @@ class TestTipCoefficient:
         assert abs(a2 - 3.0 * a1) < 1e-9
 
     def test_methods_agree(self):
-        af = tip_coefficient(0.3, phi_u0, method="fixed")
-        aq = tip_coefficient(0.3, phi_u0, method="quad")
-        assert abs(af - aq) < 1e-9
+        # adaptive-quadrature reference: the 1/2-power projection of the
+        # data pulled back by the Moebius map that sends the tip to 0
+        from scipy.integrate import quad
+
+        gamma = 0.3
+
+        def pulled(t):
+            w = np.exp(1j * t)
+            return phi_u0(np.angle((w + gamma) / (1.0 + gamma * w)))
+
+        c, _ = quad(lambda t: pulled(t) * np.cos(t / 2.0), -np.pi, np.pi,
+                    epsabs=1e-13, epsrel=1e-13, limit=400)
+        aq = c / np.pi / np.sqrt(1.0 - gamma * gamma)
+        assert abs(tip_coefficient(gamma, phi_u0) - aq) < 1e-9
 
     def test_monotone_increasing_in_gamma(self):
         # moving the tip toward the data's mass increases the flux

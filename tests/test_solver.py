@@ -1,8 +1,6 @@
 """Series, finite-difference, barrier, and energy solver tests."""
 import math
-import sys
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +32,7 @@ class TestSeries:
         s = solve_series_2d(lambda t: np.cos(t / 2.0), 8)
         assert abs(s.coefficients[0] - 1.0) < 1e-12
         assert np.abs(s.coefficients[1:]).max() < 1e-12
+        assert s.resolved
 
     def test_identity_three_half_profile(self):
         # r^{3/2} cos(3 theta/2) has boundary trace cos(3t/2): only the
@@ -42,13 +41,12 @@ class TestSeries:
         assert abs(s.coefficients[1] - 1.0) < 1e-12
         assert abs(s.coefficients[0]) < 1e-12
 
-    def test_fixed_rule_matches_quad(self):
-        phi = lambda t: np.cos(t / 2.0) ** 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            sq = solve_series_2d(phi, 16, method="quad")
-            sf = solve_series_2d(phi, 16, method="fixed")
-        assert np.abs(sq.coefficients - sf.coefficients).max() < 1e-11
+    def test_gauss_rule_matches_exact_coefficients(self):
+        # cos^3(t/2) = 3/4 cos(t/2) + 1/4 cos(3t/2)
+        s = solve_series_2d(lambda t: np.cos(t / 2.0) ** 3, 16)
+        exact = np.zeros(16)
+        exact[:2] = 0.75, 0.25
+        assert np.abs(s.coefficients - exact).max() < 1e-11
 
     def test_evaluation_matches_polar_form(self):
         s = HalfAngleSeries(coefficients=np.array([1.0, 0.5]))
@@ -59,11 +57,8 @@ class TestSeries:
     def test_truncation_warning_fires(self):
         # data with slow cosine decay: a genuine jump at the slit ends
         with pytest.warns(TruncationWarning):
-            solve_series_2d(lambda t: np.abs(np.cos(t / 2.0)) ** 0.25, 4)
-
-    def test_tail_bound_monotone(self):
-        s = HalfAngleSeries(coefficients=np.array([1.0, 0.3, 0.1]))
-        assert s.tail_bound(0.2) < s.tail_bound(0.5)
+            s = solve_series_2d(lambda t: np.abs(np.cos(t / 2.0)) ** 0.25, 4)
+        assert not s.resolved
 
 
 class TestCutoff:
@@ -155,21 +150,10 @@ class TestLinearSolve:
     def _solve(self):
         return solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 24)
 
-    def test_amg_setup_failure_propagates(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("AMG setup failed")
-
-        fake = types.ModuleType("pyamg")
-        fake.smoothed_aggregation_solver = broken
-        monkeypatch.setitem(sys.modules, "pyamg", fake)
-        with pytest.raises(RuntimeError, match="AMG setup failed"):
-            self._solve()
-
     def test_stalled_cg_reports_residual(self, monkeypatch):
         spla = types.SimpleNamespace(**vars(solver.spla))
         spla.cg = lambda A, b, **kw: (np.zeros_like(b), 2000)
         monkeypatch.setattr(solver, "spla", spla)
-        monkeypatch.setitem(sys.modules, "pyamg", None)
         with pytest.raises(NonConvergence, match=r"info=2000, relative residual 1\.00e\+00"):
             self._solve()
 
