@@ -8,7 +8,9 @@ root's series passing its truncation rule).  ``energy`` refuses any
 config but flat n = 1, the only one its reference value holds for.
 Boundary data is U0 of the configured edge, or cos(theta/2) for
 ``freeboundary``.  CSV output is deterministic for a fixed config; the
-manifest carries the config hash, package versions, and wall time.
+manifest carries the config hash, package versions, and wall time.  A
+run that raises removes the output directories it made while they are
+still empty, so a refusal inside a runner leaves nothing behind.
 
 Output root: --output, else $SLITKIT_OUTPUT_ROOT, else ./slitkit_out.
 """
@@ -220,9 +222,20 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     root = cfg.output_dir or os.environ.get("SLITKIT_OUTPUT_ROOT", "slitkit_out")
     outdir = Path(root) / cfg.kind
+    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    ok = _RUNNERS[cfg.kind](cfg, outdir)
+    try:
+        ok = _RUNNERS[cfg.kind](cfg, outdir)
+    except BaseException:
+        # a refused run leaves nothing: remove the directories this call
+        # made, deepest first, while they are empty (rmdir only)
+        for p in created:
+            try:
+                p.rmdir()
+            except OSError:
+                break
+        raise
     manifest = {
         "config_digest": cfg.digest(),
         "config": json.loads(json.dumps(cfg.__dict__, default=float)),

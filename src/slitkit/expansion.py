@@ -1,10 +1,11 @@
-"""Tangent polynomial fitting and decay-rate estimation.
+"""Tangent polynomial fits and decay-rate reports on grid solutions.
 
 Solutions near the slit edge behave like U0 * P0(x, r) with P0 a
 polynomial in the horizontal coordinates and the edge distance r.
-This module fits P0 by weighted least squares, measures how fast
-|u/U0 - P0| decays through dyadic shells, and forms the formal
-derivative expansions used by the derivative checks.
+This module fits P0 to the nodes of a ``GridSolution`` by weighted
+least squares, measures how fast |u/U0 - P0| decays through dyadic
+shells of nodes, and forms the formal derivative expansions used by
+the gradient checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientResolution
 from .geometry import GammaJet
-from .solver import GridSolution, HalfAngleSeries, _lstsq_poly, _vandermonde
+from .solver import GridSolution, _lstsq_poly, _vandermonde
 from .xrpoly import XRPolynomial
 
 
@@ -153,36 +154,14 @@ def _node_samples(sol: GridSolution, Z, rmax: float, min_cos: float = 0.0,
             "u": u.ravel()[sel], "sel": sel}
 
 
-def _samples_series(series: HalfAngleSeries, Z, rmax: float, min_cos: float = 0.0):
-    if np.any(np.asarray(Z, dtype=float) != 0.0):
-        raise ValueError("series samples are tip-centered")
-    r = np.geomspace(rmax * 1e-4, rmax, 120)
-    t = np.linspace(-math.pi * 0.999, math.pi * 0.999, 60)
-    R, T = np.meshgrid(r, t, indexing="ij")
-    R, T = R.ravel(), T.ravel()
-    u0 = np.sqrt(R) * np.cos(T / 2.0)
-    keep = (u0 > 0) & (u0 >= min_cos * np.sqrt(R))
-    R, T, u0 = R[keep], T[keep], u0[keep]
-    vals = series.evaluate_polar(R, T)
-    return {"x": (R * np.cos(T))[:, None], "r": R, "u0": u0, "u": vals, "dist": R}
-
-
-def _samples(sol, Z, rmax, min_cos=0.0):
-    if isinstance(sol, GridSolution):
-        return _node_samples(sol, Z, rmax, min_cos)
-    if isinstance(sol, HalfAngleSeries):
-        return _samples_series(sol, Z, rmax, min_cos)
-    raise TypeError(f"cannot sample {type(sol).__name__}")
-
-
 # ----------------------------------------------------------------------
 # Operations
 # ----------------------------------------------------------------------
 
-def fit_tangent(sol, Z, degree: int, rmax: float = 0.25,
+def fit_tangent(sol: GridSolution, Z, degree: int, rmax: float = 0.25,
                 cond_limit: float = 1e10, dist_power: float = 0.0) -> XRPolynomial:
     """Weighted least-squares tangent polynomial of u/U0 at an edge
-    point Z, over the ball of radius ``rmax`` around Z.
+    point Z, over the grid nodes within ``rmax`` of Z.
 
     Weights are U0^2, so the normal equations reduce to plain least
     squares of u against U0 times the monomial columns — the fit is
@@ -194,22 +173,23 @@ def fit_tangent(sol, Z, degree: int, rmax: float = 0.25,
     of the fit-window compromise that plain least squares makes; use it
     when the fitted polynomial feeds a decay-rate measurement.
     """
-    n = 1 if not isinstance(sol, GridSolution) else sol.n
-    smp = _samples(sol, np.zeros(n) if Z is None else Z, rmax)
-    keys, coeffs = _lstsq_poly(n, degree, smp["x"], smp["r"], smp["u"], scale=smp["u0"],
+    smp = _node_samples(sol, np.zeros(sol.n) if Z is None else Z, rmax)
+    keys, coeffs = _lstsq_poly(sol.n, degree, smp["x"], smp["r"], smp["u"], scale=smp["u0"],
                                dist=smp["dist"], dist_power=dist_power, cond_limit=cond_limit)
-    return _poly_from_coeffs(n, keys, coeffs)
+    return _poly_from_coeffs(sol.n, keys, coeffs)
 
 
-def rate_report(sol, P0: XRPolynomial, Z, scales: Sequence[float],
+def rate_report(sol: GridSolution, P0: XRPolynomial, Z, scales: Sequence[float],
                 target: float, min_nodes: int = 100, label: str = "",
                 mode: str = "shell", min_cos: float = 0.0) -> RateReport:
-    """Sup errors of |u/U0 - P0| at dyadic scales around Z.
+    """Sup errors of |u/U0 - P0| over the grid nodes at dyadic scales
+    around Z.
 
     ``mode="shell"`` takes the sup over the dyadic annulus at each
     scale; ``mode="ball"`` takes the sup over the whole ball B_lambda,
     which is the quantity the decay estimate actually bounds (and is
-    monotone in lambda by construction).
+    monotone in lambda by construction).  A shell or ball with fewer
+    than ``min_nodes`` nodes raises InsufficientResolution.
 
     ``min_cos`` > 0 restricts sampling to u0 >= min_cos * sqrt(r),
     i.e. cos(theta/2) bounded below: dividing grid values by U0 right
@@ -220,12 +200,9 @@ def rate_report(sol, P0: XRPolynomial, Z, scales: Sequence[float],
     scale would absorb exactly the decay being measured.
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
-    grid = isinstance(sol, GridSolution)
-    n = sol.n if grid else 1
-    smp = _samples(sol, np.zeros(n) if Z is None else Z, scales[0], min_cos)
+    smp = _node_samples(sol, np.zeros(sol.n) if Z is None else Z, scales[0], min_cos)
     dev = np.abs(smp["u"] / smp["u0"] - evaluate_poly(P0, smp["x"], smp["r"]))
-    return _sup_rates(dev, smp["dist"], scales, target, mode,
-                      min_nodes if grid else 0, label)
+    return _sup_rates(dev, smp["dist"], scales, target, mode, min_nodes, label)
 
 
 def formal_gradient(P0: XRPolynomial, jet: GammaJet) -> list[XRPolynomial]:
@@ -272,14 +249,14 @@ def formal_hessian(P0: XRPolynomial, jet: GammaJet) -> list[list[XRPolynomial]]:
 def derivative_rate_checks(sol: GridSolution, P0: XRPolynomial, jet: GammaJet,
                            Z, scales: Sequence[float], order: int = 1,
                            target: float | None = None) -> list[RateReport]:
-    """Compare numerical derivative quotients against the formal
-    expansions inside the non-tangential cone {r >= |x'|}.
+    """Compare the numerical gradient quotients d_i u * (r/U0) against
+    the formal expansions P0^i (``formal_gradient``) inside the
+    non-tangential cone {r >= |x'|}, one shell report per component.
 
-    order 1: d_i u * (r/U0) vs P0^i; order 2: d_ij u * (r^3/U0) vs
-    P0^ij (harmonic right-hand sides only — callers enforce f = 0).
+    ``order`` must be 1; the second-order quotients are not checked.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    if order != 1:
+        raise ValueError("only order 1 is checked")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     n = sol.n
     Zv = np.zeros(n) if Z is None else np.asarray(Z, dtype=float)
@@ -296,25 +273,10 @@ def derivative_rate_checks(sol: GridSolution, P0: XRPolynomial, jet: GammaJet,
     cone = smp["r"] >= xprime
     x, r, u0, dist = (smp[k][cone] for k in ("x", "r", "u0", "dist"))
 
-    def deriv(f, axis):
-        return np.gradient(f, sol.axes[axis], axis=axis, edge_order=2)
-
-    def at_samples(f):
-        return f.ravel()[sel][cone]
-
     reports = []
-    if order == 1:
-        for i, gi in enumerate(formal_gradient(P0, jet)):
-            quot = at_samples(deriv(sol.values, i)) * (r / np.maximum(u0, 1e-300))
-            dev = np.abs(quot - evaluate_poly(gi, x, r))
-            reports.append(_sup_rates(dev, dist, scales, target, "shell", label=f"d{i + 1}"))
-    else:
-        hess = formal_hessian(P0, jet)
-        for i in range(n):
-            dui = deriv(sol.values, i)
-            for j in range(i, n):
-                quot = at_samples(deriv(dui, j)) * r**3 / np.maximum(u0, 1e-300)
-                dev = np.abs(quot - evaluate_poly(hess[i][j], x, r))
-                reports.append(_sup_rates(dev, dist, scales, target, "shell",
-                                          label=f"d{i + 1}{j + 1}"))
+    for i, gi in enumerate(formal_gradient(P0, jet)):
+        du = np.gradient(sol.values, sol.axes[i], axis=i, edge_order=2)
+        quot = du.ravel()[sel][cone] * (r / np.maximum(u0, 1e-300))
+        dev = np.abs(quot - evaluate_poly(gi, x, r))
+        reports.append(_sup_rates(dev, dist, scales, target, "shell", label=f"d{i + 1}"))
     return reports

@@ -13,11 +13,12 @@ square-root coordinate transforms with the chain-rule factor
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MultipleRoots, NoBracket, NonConvergence
+from .errors import MultipleRoots, NoBracket, NonConvergence, TruncationWarning
 from .solver import HalfAngleSeries, solve_series_2d
 
 __all__ = ["TipProblem", "FreeBoundaryResult", "tip_coefficient",
@@ -90,11 +91,18 @@ def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
     Coarse scan at 41 points for sign changes (NoBracket if none,
     MultipleRoots with every refined root if several), bisection to
     width 1e-3, then at most 60 secant steps to a residual below 1e-9.
+    Only the returned root's series can raise TruncationWarning; the
+    scan, bisection and secant evaluations are silent.
     """
     residual_tol = 1e-9
 
     def F(g):
-        return tip_coefficient(g, prob.phi, prob.series_terms) - float(prob.G(g))
+        # only the root's own series is judged (below); the scan,
+        # bisection and secant series may go unresolved near the
+        # bracket ends without touching the root
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return tip_coefficient(g, prob.phi, prob.series_terms) - float(prob.G(g))
 
     lo, hi = prob.bracket
     gs = np.linspace(lo, hi, 41)

@@ -13,12 +13,13 @@ from ``xrpoly.edge_bracket``.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateWeight, SingularSystem
+from .errors import DegenerateWeight, SingularSystem, TruncationWarning
 from .expansion import RateReport, _node_samples, _poly_from_coeffs, _sup_rates, evaluate_poly
 from .geometry import GammaJet, SlitGeometry, _compose, flat_jet, foot_jet
 from .solver import GridSolution, _lstsq_poly
@@ -160,10 +161,16 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     sweep is exact.
 
     A curved jet needs ``edge``, the graph's Taylor coefficients; Q is
-    composed with ``foot``, by default that edge's ``foot_jet``.
+    composed with ``foot``, by default that edge's ``foot_jet``.  P and
+    the residual equal those of any longer jet once ``jet.order >= k``;
+    a shorter curved jet raises TruncationWarning (its P first differs
+    at degree ``jet.order + 2``).
     """
     n = jet.n
     deg = k + 1
+    if not jet.is_flat and jet.order < k:
+        warnings.warn(f"jet of order {jet.order} < k = {k}: the corrector is exact "
+                      f"only through degree {jet.order + 1}", TruncationWarning)
     N = weight if weight is not None else XRPolynomial.constant(n, Fraction(1, 2))
     if N.evaluate([0] * n, 0) == 0:
         raise SingularSystem("weight expansion vanishes at the edge")

@@ -22,7 +22,6 @@ description of the grid's cells and faces (``_cells``).
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -64,11 +63,6 @@ class HalfAngleSeries:
         q = self.orders
         rq = np.power(r[..., None], q)
         return np.sum(self.coefficients * rq * np.cos(q * theta[..., None]), axis=-1)
-
-    def evaluate(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        return self.evaluate_polar(np.hypot(x1, x2), np.arctan2(x2, x1))
 
 
 def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int) -> HalfAngleSeries:
@@ -218,36 +212,12 @@ class GridSolution:
                 steps.append((a[i0 + 4] - a[i0]) / 4.0)
         return float(max(steps))
 
-    def evaluate(self, X) -> np.ndarray:
-        """Multilinear interpolation; even in the vertical coordinate,
-        constant beyond the box along each axis."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
-        X[:, -1] = np.abs(X[:, -1])
-        X = np.clip(X, [a[0] for a in self.axes], [a[-1] for a in self.axes])
-        return RegularGridInterpolator(tuple(self.axes), self.values)(X)
-
     def save_csv(self, path: str) -> None:
         with open(path, "w") as fh:
             grading = "uniform" if not self.grading else f"power:{self.grading['p']}"
             dims = "x".join(str(d) for d in self.dims)
             fh.write(f"n={self.n},h={self.h!r},dims={dims},grading={grading}\n")
             np.savetxt(fh, self.values.reshape(-1, self.dims[-1]), delimiter=",", fmt="%.17g")
-
-
-def load_csv(path: str, geom: SlitGeometry) -> GridSolution:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        body = fh.read()
-    meta = dict(kv.split("=") for kv in header.split(","))
-    h = float(meta["h"])
-    grading = None
-    if meta["grading"].startswith("power:"):
-        grading = {"type": "power", "p": float(meta["grading"].split(":")[1])}
-    sol = empty_solution(geom, h, grading)
-    sol.values = np.loadtxt(io.StringIO(body), delimiter=",").reshape(sol.dims)
-    return sol
 
 
 def empty_solution(geom: SlitGeometry, h: float,

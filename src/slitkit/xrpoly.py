@@ -262,10 +262,6 @@ class LaplacianResult:
     def total(self) -> XRPolynomial:
         return self.principal + self.curved_terms
 
-    def coefficient(self, sigma: Iterable[int], l: int) -> Fraction:
-        """A_{sigma,l}: coefficient of x^sigma r^l in the bracket."""
-        return self.total.coeff(sigma, l)
-
 
 def edge_bracket(mu: MultiIndex, m: int, xpow, rpow, d, nu, lap_d, half):
     """Bracket (r/U0) * Delta(U0 x^mu r^m) in any arithmetic of field values.

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -70,6 +71,16 @@ def run_cli(args, tmp_path):
         capture_output=True, text=True, timeout=600)
 
 
+def main_with_warnings(args):
+    """``cli.main``'s exit code and the category of every warning it raised."""
+    from slitkit import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(args)
+    return rc, [w.category for w in caught]
+
+
 @pytest.fixture
 def no_solve(monkeypatch):
     from slitkit import solver
@@ -82,9 +93,8 @@ def no_solve(monkeypatch):
 
 class TestCLI:
     def test_freeboundary_run(self, tmp_path):
-        from slitkit import cli
-
-        assert cli.main(["freeboundary", "--G", "1.0", "--output", str(tmp_path)]) == 0
+        assert main_with_warnings(["freeboundary", "--G", "1.0",
+                                   "--output", str(tmp_path)]) == (0, [])
         outdir = tmp_path / "freeboundary"
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["passed"]
@@ -94,20 +104,20 @@ class TestCLI:
 
     def test_freeboundary_exit_code_is_series_truncation(self, tmp_path):
         # G = 2.4 puts the tip at gamma* = 0.85029, where 64 terms leave
-        # |c_63.5| = 1.4e-6 > 1e-8; 128 terms resolve the same root
-        from slitkit import TruncationWarning, cli
+        # |c_63.5| = 1.4e-6 > 1e-8; 128 terms resolve the same root.  Only
+        # the root's series warns, never the scan or the refinement
+        from slitkit import TruncationWarning
 
         def gamma_star(out):
             rows = (out / "freeboundary" / "freeboundary.csv").read_text().splitlines()
             return float(rows[1].split(",")[1])
 
-        with pytest.warns(TruncationWarning):
-            assert cli.main(["freeboundary", "--G", "2.4", "--output",
-                             str(tmp_path / "64")]) == 1
+        assert main_with_warnings(["freeboundary", "--G", "2.4", "--output",
+                                   str(tmp_path / "64")]) == (1, [TruncationWarning])
         cfgfile = tmp_path / "fb.yaml"
         cfgfile.write_text("series_terms: 128\n")
-        assert cli.main(["freeboundary", "--config", str(cfgfile), "--G", "2.4",
-                         "--output", str(tmp_path / "128")]) == 0
+        assert main_with_warnings(["freeboundary", "--config", str(cfgfile), "--G", "2.4",
+                                   "--output", str(tmp_path / "128")]) == (0, [])
         assert abs(gamma_star(tmp_path / "64") - 0.85029) < 1e-5
         assert abs(gamma_star(tmp_path / "128") - 0.85029) < 1e-5
 
@@ -125,11 +135,13 @@ class TestCLI:
 
     def test_rates_default_rejected_before_solve(self, tmp_path, no_solve, capsys):
         # at h = 1/64 the 1/8 ball holds 53 sample nodes, fewer than the
-        # rate report's 100, so the default config is refused unsolved
+        # rate report's 100, so the default config is refused unsolved;
+        # the output directories the run made are removed again
         from slitkit import cli
 
-        assert cli.main(["rates", "--output", str(tmp_path)]) == 2
+        assert cli.main(["rates", "--output", str(tmp_path / "out")]) == 2
         assert "scales: ball at scale 0.1250 has 53 nodes < 100" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_rates_short_scales_rejected_before_solve(self, tmp_path, no_solve, capsys):
         # the rate report's own minimum is 4 scales
@@ -171,6 +183,7 @@ class TestCLI:
         assert cli.main(["energy", *args, "--output", str(tmp_path)]) == 2
         assert "config error: geometry" in capsys.readouterr().err
         assert not (tmp_path / "energy" / "energy.csv").exists()
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
         ["solve", "--geometry", "parabola:abc", "--n", "2"],

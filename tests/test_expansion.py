@@ -1,6 +1,7 @@
 """Tests for tangent fitting, rate reports, and formal derivatives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from slitkit import (
     formal_hessian,
     rate_report,
     solve_fd,
-    solve_series_2d,
 )
+from slitkit.solver import empty_solution
 
 SCALES = [2.0**-j for j in range(1, 6)]
 
@@ -79,51 +80,59 @@ class TestRateReport:
 
 
 class TestSeriesRates:
-    def test_exact_tangent_gives_exact_report(self):
+    """The half-angle series fields U0 = Re z^{1/2} and
+    U0 + 0.3 Re z^{3/2} = U0 (1 + 0.3 (2x - r)), set exactly at the
+    nodes of the flat 2^-9 grid (no solve)."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return empty_solution(flat_geometry(1), 2**-9)
+
+    @pytest.fixture(scope="class")
+    def exact_u0(self, grid):
+        return replace(grid, values=grid.node_frames()["u0"].reshape(grid.dims))
+
+    @pytest.fixture(scope="class")
+    def three_half(self, grid):
+        fr = grid.node_frames()
+        u = fr["u0"] * (1.0 + 0.3 * (2.0 * fr["x"][:, 0] - fr["r"]))
+        return replace(grid, values=u.reshape(grid.dims))
+
+    def test_exact_tangent_gives_exact_report(self, exact_u0):
         # u = U0 itself: the quotient is identically 1
-        series = solve_series_2d(lambda t: np.cos(t / 2.0), 8)
         P0 = XRPolynomial.constant(1, 1)
-        rep = rate_report(series, P0, None, SCALES, target=1.0)
+        rep = rate_report(exact_u0, P0, None, SCALES, target=1.0)
         assert rep.exact and rep.passed
 
-    def test_linear_decay_of_truncated_tangent(self):
-        # u = U0 + 0.3 r^{3/2} cos(3t/2) = U0 (1 + 0.3 (2x - r)):
-        # dropping the linear part leaves an error decaying like lambda
-        series = solve_series_2d(
-            lambda t: np.cos(t / 2.0) + 0.3 * np.cos(1.5 * t), 8)
+    def test_linear_decay_of_truncated_tangent(self, three_half):
+        # dropping the linear part of 1 + 0.3 (2x - r) leaves an error
+        # decaying like lambda
         P0 = XRPolynomial.constant(1, 1)
-        rep = rate_report(series, P0, None, SCALES, target=1.0)
+        rep = rate_report(three_half, P0, None, SCALES, target=1.0)
         assert abs(rep.exponent - 1.0) < 0.05
         assert rep.residual < 0.1
         assert rep.passed
 
-    def test_fit_tangent_recovers_series_coefficients(self):
-        series = solve_series_2d(
-            lambda t: np.cos(t / 2.0) + 0.3 * np.cos(1.5 * t), 8)
-        P0 = fit_tangent(series, None, degree=1, rmax=0.25)
+    def test_fit_tangent_recovers_series_coefficients(self, three_half):
+        P0 = fit_tangent(three_half, None, degree=1, rmax=0.25)
         # u/U0 = 1 + 0.3 (2x - r)
         assert abs(float(P0.coeff((0,), 0)) - 1.0) < 1e-6
         assert abs(float(P0.coeff((1,), 0)) - 0.6) < 1e-5
         assert abs(float(P0.coeff((0,), 1)) + 0.3) < 1e-5
 
-    def test_ball_mode_errors_monotone(self):
-        series = solve_series_2d(
-            lambda t: np.cos(t / 2.0) + 0.3 * np.cos(1.5 * t), 8)
+    def test_ball_mode_errors_monotone(self, three_half):
         P0 = XRPolynomial.constant(1, 1)
-        rep = rate_report(series, P0, None, SCALES, target=1.0, mode="ball")
+        rep = rate_report(three_half, P0, None, SCALES, target=1.0, mode="ball")
         assert np.all(np.diff(rep.errors) <= 1e-15)
 
-    def test_min_cos_preserves_clean_rate(self):
-        series = solve_series_2d(
-            lambda t: np.cos(t / 2.0) + 0.3 * np.cos(1.5 * t), 8)
+    def test_min_cos_preserves_clean_rate(self, three_half):
         P0 = XRPolynomial.constant(1, 1)
-        rep = rate_report(series, P0, None, SCALES, target=1.0, min_cos=0.5)
+        rep = rate_report(three_half, P0, None, SCALES, target=1.0, min_cos=0.5)
         assert abs(rep.exponent - 1.0) < 0.1
 
-    def test_unknown_mode_rejected(self):
-        series = solve_series_2d(lambda t: np.cos(t / 2.0), 4)
+    def test_unknown_mode_rejected(self, exact_u0):
         with pytest.raises(ValueError):
-            rate_report(series, XRPolynomial.constant(1, 1), None, SCALES,
+            rate_report(exact_u0, XRPolynomial.constant(1, 1), None, SCALES,
                         target=1.0, mode="annulus")
 
 
@@ -198,3 +207,9 @@ class TestDerivativeChecks:
                                       SCALES[:4], order=1, target=1.0)
         assert [r.label for r in reps] == ["d1"]
         assert np.all(reps[0].errors >= 0)
+
+    def test_only_first_order_is_checked(self):
+        sol = empty_solution(flat_geometry(1), 2**-5)
+        with pytest.raises(ValueError):
+            derivative_rate_checks(sol, XRPolynomial.constant(1, 1), flat_jet(1, 3),
+                                   np.zeros(1), SCALES[:4], order=2)

@@ -1,5 +1,6 @@
 """Tests for the degenerate Neumann quotient machinery."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from slitkit import (
     DegenerateWeight,
     GridSolution,
     QuotientField,
+    TruncationWarning,
     XRPolynomial,
     YPolynomial,
     constant_T,
@@ -193,6 +195,19 @@ class TestPairSystems:
         given = solve_pair_systems(jet, Q, k=1, foot=foot_jet(T_SYM**2 / 2, 4), edge=edge)
         assert default.P == given.P
         assert default.residual == given.residual
+
+    def test_short_curved_jet_warns(self):
+        # the corrector equals a longer jet's once the jet order reaches
+        # k; an order-2 jet at k = 3 changes P from degree 4 on
+        Q = YPolynomial(2, {(2, 0): 1})
+        edge = [0, 0, Fraction(1, 4)]
+        with pytest.warns(TruncationWarning, match="order 2 < k = 3"):
+            short = solve_pair_systems(gamma_jet(T_SYM**2 / 4, 2), Q, k=3, edge=edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            exact = solve_pair_systems(gamma_jet(T_SYM**2 / 4, 3), Q, k=3, edge=edge)
+        assert (short.P - exact.P).truncate(3).is_zero()
+        assert not (short.P - exact.P).is_zero()
 
     def test_missing_edge_series_rejected(self):
         jet = gamma_jet(T_SYM**2 / 2, 4)

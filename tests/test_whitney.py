@@ -71,10 +71,6 @@ class TestYPolynomial:
         t = np.array([0.0, 0.5])
         assert np.allclose(Q.evaluate_foot(t), [1.0, 1.0 - 0.75])
 
-    def test_scaled(self):
-        Q = YPolynomial(1, {(0,): 2.0})
-        assert Q.scaled(0.5).coefficients[(0,)] == 1.0
-
 
 class TestExtension:
     def test_constant_reproduced_exactly(self):
@@ -133,6 +129,12 @@ class TestJetMatch:
         for row in rows:
             assert row["approach_rate"] >= 1.0 + 1.0 - 0.3, row
             assert row["defects"][-1] < row["defects"][0]
+
+    def test_second_order_rejected(self):
+        mol = build_mollifier(2, 0)
+        Q = YPolynomial(2, {(2, 0): 1.0})
+        with pytest.raises(ValueError):
+            verify_jet_match(mol, Q, flat_geometry(2), np.zeros(2), orders=(2,))
 
     def test_flat_jet_defects_are_rounding(self):
         # flat edge: the extension is exact, defects sit at quadrature
