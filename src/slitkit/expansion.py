@@ -180,7 +180,7 @@ def fit_tangent(sol: GridSolution, Z, degree: int, rmax: float = 0.25,
 
 
 def rate_report(sol: GridSolution, P0: XRPolynomial, Z, scales: Sequence[float],
-                target: float, min_nodes: int = 100, label: str = "",
+                target: float, min_nodes: int = 100,
                 mode: str = "shell", min_cos: float = 0.0) -> RateReport:
     """Sup errors of |u/U0 - P0| over the grid nodes at dyadic scales
     around Z.
@@ -202,7 +202,7 @@ def rate_report(sol: GridSolution, P0: XRPolynomial, Z, scales: Sequence[float],
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     smp = _node_samples(sol, np.zeros(sol.n) if Z is None else Z, scales[0], min_cos)
     dev = np.abs(smp["u"] / smp["u0"] - evaluate_poly(P0, smp["x"], smp["r"]))
-    return _sup_rates(dev, smp["dist"], scales, target, mode, min_nodes, label)
+    return _sup_rates(dev, smp["dist"], scales, target, mode, min_nodes)
 
 
 def formal_gradient(P0: XRPolynomial, jet: GammaJet) -> list[XRPolynomial]:

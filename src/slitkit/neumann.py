@@ -24,7 +24,7 @@ from .expansion import RateReport, _node_samples, _poly_from_coeffs, _sup_rates,
 from .geometry import GammaJet, SlitGeometry, _compose, flat_jet, foot_jet
 from .solver import GridSolution, _lstsq_poly
 from .whitney import YPolynomial
-from .xrpoly import XRPolynomial, _jet_terms, _sweep, poly_bracket
+from .xrpoly import XRPolynomial, _bracket_sum, _sweep
 
 __all__ = [
     "QuotientField", "NeumannPair", "quotient", "constant_T", "t_nu_on_edge",
@@ -46,13 +46,10 @@ def weighted_laplacian_bracket(V: XRPolynomial, jet: GammaJet,
     result through total degree k + 2 is the corrector condition
     Delta(u_n W) = O((U0/r) |X|^(k+alpha)) at the symbolic level.
     Each monomial x^mu r^m contributes r^2 times the bracket of
-    Delta(U0 x^mu r^(m-1)).
+    Delta(U0 x^mu r^(m-1)).  The jet terms and the result are cut at
+    ``degree``; ``degree=None`` keeps the full jet and an uncut result.
     """
-    d, nu, lap_d = (jet.d, jet.nu, -jet.kappa) if degree is None else _jet_terms(jet, degree)
-    out = XRPolynomial.zero(V.n)
-    for (mu, m), v in V.items():
-        out = out + v * poly_bracket(mu, m - 1, d, nu, lap_d, shift=2)
-    return out if degree is None else out.truncate(degree)
+    return _bracket_sum(V, jet, degree, lower=1)
 
 
 # ----------------------------------------------------------------------
@@ -128,21 +125,16 @@ class NeumannPair:
 
 
 def _q_to_xr(Q: YPolynomial, foot: XRPolynomial | None, degree: int) -> XRPolynomial:
-    """Q composed with the edge-flattening coordinate as an x-series.
+    """Q composed with the edge-flattening coordinate ``foot`` as an
+    x-series through ``degree``; ``foot=None`` is the flat edge's x_1.
 
     This is the one place a Q coefficient becomes exact: ``Fraction(c)``,
     so a float enters as the binary value it holds, never rounded.
     """
-    n = Q.n
-    if foot is None:
-        foot = XRPolynomial.x_var(n, 0) if n == 2 else XRPolynomial.zero(n)
-    out = XRPolynomial.zero(n)
+    coeffs = [Fraction(0)] * (Q.degree + 1)
     for mu, c in Q.coefficients.items():
-        term = XRPolynomial.constant(n, Fraction(c))
-        for _ in range(mu[0] if n == 2 else 0):
-            term = (term * foot).truncate(degree)
-        out = out + term
-    return out.truncate(degree)
+        coeffs[mu[0]] += Fraction(c)
+    return _compose(coeffs, XRPolynomial.x_var(Q.n, 0) if foot is None else foot, degree)
 
 
 def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
@@ -245,14 +237,15 @@ class QuotientField:
     def trace_and_normal(self, Z) -> tuple[float, float]:
         """One-sided edge limit and normal derivative at edge point Z.
 
-        Quadratic fit of w(Z + t nu, z = 0) at t in {2h, 4h, 8h}: the
-        constant term is the trace, the linear term is w_nu.
+        Quadratic fit of w(Z + t nu, z = 0) at t in {2h, 4h, 8h}, with h
+        the grid's own step near the edge (``local_h``, at least a
+        quarter of the requested h): the constant term is the trace,
+        the linear term is w_nu.
         """
         from .geometry import frame_fields
 
         Z = np.asarray(Z, dtype=float)
-        h = self.u.local_h() if self.u.grading else self.u.h
-        steps = np.array([2.0, 4.0, 8.0]) * max(h, self.u.h * 0.25)
+        steps = np.array([2.0, 4.0, 8.0]) * max(self.u.local_h(), self.u.h * 0.25)
         fr = frame_fields(self.u.geom, Z[None, :], np.zeros(1))
         nu = fr["nu"][0]
         interp = self._plane_interp()
@@ -268,9 +261,11 @@ class QuotientField:
 def quotient(u: GridSolution, i: int) -> QuotientField:
     """Quotient w = u_i/u_n via axis differences on the grid.
 
-    ``valid`` marks nodes where u_n is safely positive: off the slit,
-    |u_n| above 1e-3 max |u|, and u0 >= sqrt(r)/4.  A sign change of u_n
-    on the valid set raises DegenerateWeight.
+    ``valid`` marks nodes where u_n is safely positive: off the slit and
+    the outer Dirichlet nodes, |u_n| above 1e-3 max |u|, and
+    u0 >= sqrt(r)/4.  A sign change of u_n on the valid set raises
+    DegenerateWeight; the Dirichlet nodes hold boundary data, not the
+    solution, so their sign does not count.
     """
     n = u.n
     if not (0 <= i < n):
@@ -285,7 +280,8 @@ def quotient(u: GridSolution, i: int) -> QuotientField:
     floor = 1e-3 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(np.abs(u_n) > floor, u_i / np.where(np.abs(u_n) > floor, u_n, 1.0), np.nan)
-    valid = (np.abs(u_n) > floor) & ~u.slit_mask & (u0 >= 0.25 * np.sqrt(np.maximum(r, 1e-300)))
+    valid = (np.abs(u_n) > floor) & ~u.slit_mask & ~u.dirichlet_mask \
+        & (u0 >= 0.25 * np.sqrt(np.maximum(r, 1e-300)))
     if np.any(u_n[valid] < 0) and np.any(u_n[valid] > 0):
         neg = int((u_n[valid] < 0).sum())
         raise DegenerateWeight(f"u_n changes sign on the evaluation set ({neg} negative nodes)")
@@ -321,8 +317,7 @@ def _quotient_samples(w: QuotientField, Z, rmax: float, min_cos: float) -> dict:
 
 
 def neumann_rate(w: QuotientField, T0: XRPolynomial, Z, scales,
-                 target: float, label: str = "quotient",
-                 min_cos: float = 0.0) -> RateReport:
+                 target: float, min_cos: float = 0.0) -> RateReport:
     """Sup of |w - T0| over nested balls around edge point Z.
 
     T0 is the degree-(k+2) expansion fitted once at the coarsest scale;
@@ -335,4 +330,4 @@ def neumann_rate(w: QuotientField, T0: XRPolynomial, Z, scales,
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     smp = _quotient_samples(w, Z, scales[0], min_cos)
     dev = np.abs(smp["u"] - evaluate_poly(T0, smp["x"], smp["r"]))
-    return _sup_rates(dev, smp["dist"], scales, target, "ball", min_nodes=50, label=label)
+    return _sup_rates(dev, smp["dist"], scales, target, "ball", min_nodes=50, label="quotient")

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import IllConditioned, MaskDegenerate, NonConvergence, TruncationWarning
 from .geometry import SlitGeometry, frame_fields
-from .xrpoly import _bump, edge_bracket
+from .xrpoly import _bump, _indices_of_degree, edge_bracket
 
 # ----------------------------------------------------------------------
 # Half-angle series (2D, slit on the negative x1-axis)
@@ -386,16 +386,8 @@ def _xpow(x: np.ndarray, mu) -> np.ndarray:
 
 def _poly_columns(n: int, degree: int):
     """Multi-index/r-power keys of total degree <= degree, sorted."""
-    keys = []
-    for deg in range(degree + 1):
-        for m in range(deg + 1):
-            rem = deg - m
-            if n == 1:
-                keys.append(((rem,), m))
-            else:
-                for a in range(rem + 1):
-                    keys.append(((a, rem - a), m))
-    return keys
+    return [(mu, m) for deg in range(degree + 1) for m in range(deg + 1)
+            for mu in _indices_of_degree(n, deg - m)]
 
 
 def _vandermonde(keys, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -642,8 +634,7 @@ def compute_energy(sol: GridSolution) -> float:
 # Shortley-Weller disc solver (independent oracle for the tip problem)
 # ----------------------------------------------------------------------
 
-def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8,
-                  split: bool = True):
+def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8):
     """Dirichlet solve on the unit disc minus the slit {y = 0, x <= gamma}.
 
     ``phi(theta)`` is the circle data (even in theta), called once per
@@ -651,7 +642,7 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8,
     solution samples) where a is the fitted coefficient of
     sqrt(distance to tip) along the edge direction.  The discretization
     is the five-point stencil with an irregular arm to the circle, with
-    optional tip splitting.  The regular arm opposite a circle arm keeps
+    tip splitting.  The regular arm opposite a circle arm keeps
     the weight 1/h^2, not Shortley-Weller's 2/((1 + alpha) h^2), so the
     error next to the circle is first order in h.  The split right-hand
     side is linear in the fitted tip coefficient, so one sparse LU solve
@@ -725,16 +716,7 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8,
         sel = (r >= r_lo) & (r <= r_hi) & (w0 > 0)
         return float(_lstsq_poly(1, 1, d[sel][:, None], r[sel], uflat[sel], scale=w0[sel])[1][0])
 
-    def solve(rhs):
-        # A's pattern is symmetric, and a symmetric ordering keeps the
-        # factor small
-        return spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
-
     b = boundary_rhs(lambda xb, yb: phi(math.atan2(yb, xb)))
-    if not split:
-        u = solve(b)
-        return tip(u, 4 * h, 32 * h), (xs, ys, _scatter(u, idx, nx, ny))
-
     # S = c S1 with S1 = chi U0 about the tip.  v = u_f - S solves
     # A v = b + c b_S1 with b_S1 = Delta S1 - (S1 on the circle), so
     # v = u + c w for the solutions u, w of the two columns
@@ -751,7 +733,8 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8,
         return float(cutoff(rg, a_cut, b_cut)) * math.sqrt(max((dg + rg) / 2.0, 0.0))
 
     b_S1 = lap_S1[ii] - boundary_rhs(S1_at)
-    u, w_S1 = solve(np.column_stack([b, b_S1])).T
+    # A's pattern is symmetric, and a symmetric ordering keeps the factor small
+    u, w_S1 = spla.spsolve(A, np.column_stack([b, b_S1]), permc_spec="MMD_AT_PLUS_A").T
     r_lo, r_hi = max(0.02, 6 * h), 0.08
     c = tip(u, r_lo, max(r_hi, 2.5 * r_lo))
     uf = u + c * (w_S1 + (cutoff(rgt, a_cut, b_cut) * u0g)[ii])

@@ -1,10 +1,10 @@
 """Exact rational polynomial algebra in the (x, r) variables.
 
 Polynomials are stored as sparse maps from (multi-index, r-power) to
-``Fraction`` coefficients.  The module provides the closed-form Laplacian
-table for products of the square-root edge profile with such monomials,
-its extension to curved interfaces through geometry jets, and the
-triangular solve for approximating polynomials.
+``Fraction`` coefficients.  The module provides the Laplacian table for
+products of the square-root edge profile with such monomials (exact on
+the flat edge, cut at a given degree on a curved one through geometry
+jets) and the triangular solve for approximating polynomials.
 
 Everything here is exact: these results serve as oracles for the grid
 solvers, so no floats are allowed to enter the coefficient arithmetic.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -242,25 +243,18 @@ class XRPolynomial:
 # Laplacian table
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class LaplacianResult:
-    """Bracket polynomial of Delta(U0 * p) = (U0/r) * [principal + curved + O(...)].
+    """Bracket polynomial of Delta(U0 * p) = (U0/r) * [total + O(...)].
 
-    ``principal`` is the flat-interface table; ``curved_terms`` collects
-    the jet-induced contributions up to total degree k.  For flat
-    geometry the identity is exact and ``remainder_order`` is inf;
-    otherwise it is the lowest degree at which the bracket may be wrong.
+    For flat geometry ``total`` is the exact, uncut bracket and
+    ``remainder_order`` is inf; on a curved jet ``total`` is cut at the
+    requested degree k and ``remainder_order`` is the lowest degree at
+    which it may be wrong.
     """
 
-    __slots__ = ("principal", "curved_terms", "remainder_order")
-
-    def __init__(self, principal: XRPolynomial, curved_terms: XRPolynomial, remainder_order):
-        self.principal = principal
-        self.curved_terms = curved_terms
-        self.remainder_order = remainder_order
-
-    @property
-    def total(self) -> XRPolynomial:
-        return self.principal + self.curved_terms
+    total: XRPolynomial
+    remainder_order: float
 
 
 def edge_bracket(mu: MultiIndex, m: int, xpow, rpow, d, nu, lap_d, half):
@@ -335,34 +329,42 @@ def _jet_terms(jet, k: int) -> tuple:
     return jet.d.truncate(k), [v.truncate(k) for v in jet.nu], -jet.kappa.truncate(k)
 
 
-def laplacian_monomial(mu: Iterable[int], m: int, jet, k: int) -> LaplacianResult:
-    """Table entry for Delta(U0 x^mu r^m) truncated at bracket degree k.
+def _bracket_sum(V: XRPolynomial, jet, degree: int | None, lower: int = 0) -> XRPolynomial:
+    """Sum over V's monomials v x^mu r^m of v r^(2 lower) times the
+    bracket of Delta(U0 x^mu r^(m - lower)).
 
-    A curved jet of order j carries kappa only through degree j - 1, so
-    the entry is exact through degree min(k, j - 1): ``remainder_order``
-    is min(k + 1, j).
+    ``lower`` = 0 gives the table of ``laplacian_of_product``, and
+    ``lower`` = 1 the weighted bracket of ``weighted_laplacian_bracket``.
+    One cut rule: the jet terms and the result are cut at ``degree``,
+    and ``degree=None`` keeps the full jet and an exact, uncut result.
     """
-    mu = tuple(mu)
-    if m < 0:
-        raise ValueError("m must be nonnegative here; shifted tables handle m=-1")
-    principal = flat_principal(jet.n, mu, m)
-    if jet.is_flat:
-        return LaplacianResult(principal, XRPolynomial.zero(jet.n), math.inf)
-    curved = poly_bracket(mu, m, *_jet_terms(jet, k)) - principal
-    return LaplacianResult(principal, curved.truncate(k), min(k + 1, jet.order))
+    d, nu, lap_d = (jet.d, jet.nu, -jet.kappa) if degree is None else _jet_terms(jet, degree)
+    out: dict[Key, Fraction] = {}
+    for (mu, m), v in V._c.items():
+        for key, c in poly_bracket(mu, m - lower, d, nu, lap_d, shift=2 * lower)._c.items():
+            out[key] = out.get(key, 0) + v * c
+    total = XRPolynomial._wrap(V.n, out)
+    return total if degree is None else total.truncate(degree)
 
 
 def laplacian_of_product(P: XRPolynomial, jet, k: int) -> LaplacianResult:
-    """Bracket of Delta(U0 * P) by linearity over the monomial table."""
-    principal = XRPolynomial.zero(P.n)
-    curved = XRPolynomial.zero(P.n)
-    rem = math.inf
-    for (mu, m), a in P.items():
-        res = laplacian_monomial(mu, m, jet, k)
-        principal = principal + a * res.principal
-        curved = curved + a * res.curved_terms
-        rem = min(rem, res.remainder_order)
-    return LaplacianResult(principal, curved, rem)
+    """Bracket of Delta(U0 * P), cut at degree k on a curved jet.
+
+    The flat bracket is exact and uncut.  A curved jet of order j
+    carries kappa only through degree j - 1, so the bracket is exact
+    through degree min(k, j - 1): ``remainder_order`` is min(k + 1, j).
+    """
+    if jet.is_flat:
+        return LaplacianResult(_bracket_sum(P, jet, None), math.inf)
+    rem = math.inf if P.is_zero() else min(k + 1, jet.order)
+    return LaplacianResult(_bracket_sum(P, jet, k), rem)
+
+
+def laplacian_monomial(mu: Iterable[int], m: int, jet, k: int) -> LaplacianResult:
+    """Table entry for Delta(U0 x^mu r^m), cut as in ``laplacian_of_product``."""
+    if m < 0:
+        raise ValueError("m must be nonnegative here; shifted tables handle m=-1")
+    return laplacian_of_product(XRPolynomial.monomial(jet.n, mu, m), jet, k)
 
 
 def _indices_of_degree(n: int, deg: int) -> list[MultiIndex]:

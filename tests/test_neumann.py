@@ -20,6 +20,7 @@ from slitkit import (
     flat_jet,
     gamma_jet,
     neumann_rate,
+    parabola_geometry,
     quotient,
     solve_fd,
     solve_pair_systems,
@@ -262,6 +263,44 @@ class TestQuotient:
         tr, dn = w.trace_and_normal(np.zeros(1))
         assert abs(tr - 1.0) < 1e-8
         assert abs(dn) < 1e-6
+
+
+class TestQuotientGrids:
+    @staticmethod
+    def _curved_solve(h):
+        # the grid3d benchmark's seed-36 data: a = 9/32, b = (-0.220815,
+        # -0.239575), the split solve on the power-2 graded grid
+        a, b = Fraction(9, 32), (-0.220815, -0.239575)
+
+        def phi(x1, x2, z):
+            return phi_flat(x2 - float(a) * x1**2, z) * (1.0 + b[0] * x1 + b[1] * x2)
+
+        return solve_fd(parabola_geometry(a), phi, h=h, grading={"type": "power", "p": 2.0},
+                        split=True)
+
+    def test_outer_dirichlet_nodes_do_not_count(self):
+        # at h = 1/24 every negative u_n node is an outer Dirichlet node
+        # near the box corner (1, 1, 1), where u is the boundary data
+        sol = self._curved_solve(1 / 24)
+        w = quotient(sol, 0)
+        assert not np.any(w.valid & sol.dirichlet_mask)
+
+    def test_interior_sign_change_still_raises(self):
+        # at h = 1/16 most negative u_n nodes are interior ones
+        with pytest.raises(DegenerateWeight, match="negative nodes"):
+            quotient(self._curved_solve(1 / 16), 0)
+
+    def test_trace_uses_the_grid_step(self):
+        # make_axes rounds the node count, so h = 0.0624 builds the 1/16
+        # grid, and the trace must step by that grid's spacing
+        def phi(x1, x2, z):
+            return phi_flat(x2, z) * (1.0 + 0.3 * x1 + 0.2 * x2)
+
+        assert all(np.array_equal(a, b) for a, b in zip(make_axes(2, 0.0624), make_axes(2, 1 / 16)))
+        Z = np.array([0.1, 0.0])
+        traces = [quotient(solve_fd(flat_geometry(2), phi, h=h), 0).trace_and_normal(Z)
+                  for h in (0.0624, 1 / 16)]
+        assert traces[0] == traces[1]
 
 
 class TestQuotientRates:

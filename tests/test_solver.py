@@ -199,19 +199,15 @@ def _disc_phi(t):
 
 
 class TestDiscOracle:
-    # tip coefficients of the per-unknown assembly with bisected arms and
-    # two separate spsolves, at h = 2^-6
-    RECORDED = {
-        (-0.3, True): 0.8621755088279394, (-0.3, False): 0.8855478830891861,
-        (0.0, True): 0.9954158199958812, (0.0, False): 1.0337190749440457,
-        (0.3, True): 1.1771285732927894, (0.3, False): 1.2331893614677918,
-    }
+    # split tip coefficients of the per-unknown assembly with bisected
+    # arms and two separate spsolves, at h = 2^-6
+    RECORDED = {-0.3: 0.8621755088279394, 0.0: 0.9954158199958812, 0.3: 1.1771285732927894}
 
-    @pytest.mark.parametrize("gamma, split", sorted(RECORDED))
-    def test_matches_recorded_tips_with_one_spsolve(self, monkeypatch, gamma, split):
+    @pytest.mark.parametrize("gamma", sorted(RECORDED))
+    def test_matches_recorded_tips_with_one_spsolve(self, monkeypatch, gamma):
         calls = _counting_spla(monkeypatch, "spsolve")
-        a, _ = solver.solve_disc_2d(gamma, _disc_phi, h=2**-6, split=split)
-        assert a == pytest.approx(self.RECORDED[gamma, split], rel=1e-12, abs=0.0)
+        a, _ = solver.solve_disc_2d(gamma, _disc_phi, h=2**-6)
+        assert a == pytest.approx(self.RECORDED[gamma], rel=1e-12, abs=0.0)
         assert len(calls) == 1
 
 
@@ -238,19 +234,22 @@ class TestBarrier:
 class TestEnergy:
     @staticmethod
     def _u0_solution(h):
-        g = flat_geometry(1)
-        sol = solve_fd(g, phi_flat_1, h=h, split=False)
-        fr = sol.node_frames()
-        sol.values = fr["u0"].reshape(sol.values.shape)
+        sol = solver.empty_solution(flat_geometry(1), h)
+        sol.values = sol.node_frames()["u0"].reshape(sol.values.shape)
         return sol
 
     def test_gradient_part_analytic(self):
-        # integral over the half-disc of |grad U0|^2 = 1/(4r), doubled:
-        # 2 * int_0^1 int_0^pi (1/(4r)) r dtheta dr = pi/2
-        import scipy.integrate as si
-
-        val, _ = si.quad(lambda r: math.pi / (4.0), 0, 1)
-        assert abs(2 * val - math.pi / 2) < 1e-12
+        # |grad U0|^2 = 1/(4r), so the doubled half-disc integral is
+        # 2 * int_0^1 int_0^pi (1/(4r)) r dtheta dr = pi/2; the energy less
+        # its plate term (pi/2) * measure{u > 0, z = 0} approaches it
+        errs = []
+        for h in (2**-5, 2**-6):
+            sol = self._u0_solution(h)
+            x = sol.axes[0]
+            plate = solver._cell_widths(x)[(sol.values[:, 0] > 0) & (np.abs(x) < 1.0)].sum()
+            gradient_part = compute_energy(sol) - math.pi / 2 * plate
+            errs.append(abs(gradient_part - math.pi / 2) / (math.pi / 2))
+        assert errs[1] < 0.01 and errs[1] < errs[0]
 
     def test_u0_energy_near_pi(self):
         sol = self._u0_solution(2**-6)

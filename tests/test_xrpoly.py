@@ -1,5 +1,6 @@
 """Exact-arithmetic tests for the (x, r) polynomial calculus."""
 
+import functools
 import json
 import warnings
 from fractions import Fraction as F
@@ -28,6 +29,11 @@ from slitkit import (
 
 def xr(n, coeffs):
     return XRPolynomial(n, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _jet(edge):
+    return flat_jet(2, 5) if edge == "flat" else gamma_jet(edge, 5)
 
 
 class TestAlgebra:
@@ -150,8 +156,9 @@ class TestCurvedTable:
         # Delta d = -1/2 there, so the bracket of Delta(U0 * 1) starts at -1/4
         jet = gamma_jet("t**2/4", order=4)
         res = laplacian_monomial((0, 0), 0, jet, 2)
-        assert res.total.coeff((0, 0), 0) == F(-1, 4)
-        assert res.principal.is_zero()
+        curved = res.total - flat_principal(2, (0, 0), 0)
+        assert curved == res.total  # U0 itself is flat-harmonic
+        assert curved.coeff((0, 0), 0) == F(-1, 4)
         assert res.remainder_order == 3
 
     def test_remainder_order_is_capped_by_the_jet(self):
@@ -164,11 +171,33 @@ class TestCurvedTable:
     def test_curved_terms_start_above_flat_degree(self):
         jet = gamma_jet("t**2/4", order=5)
         for mu, m in [((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((0, 0), 1), ((2, 0), 1)]:
-            res = laplacian_monomial(mu, m, jet, 5)
+            curved = laplacian_monomial(mu, m, jet, 5).total - flat_principal(2, mu, m)
             flat_deg = sum(mu) + m - 1
-            if not res.curved_terms.is_zero():
-                low = min(sum(s) + l for (s, l), _ in res.curved_terms.items())
+            if not curved.is_zero():
+                low = min(sum(s) + l for (s, l), _ in curved.items())
                 assert low > flat_deg
+
+    def test_entries_are_cut_at_k(self):
+        # one cut rule: a curved entry keeps no term above degree k, also
+        # when its flat part alone reaches past k (|mu| + m > k + 1)
+        jet = gamma_jet("5*t**2/32 + 7*t**3/32", order=5)
+        for k in range(4):
+            for deg in range(k + 4):
+                for m in range(deg + 1):
+                    for a in range(deg - m + 1):
+                        entry = laplacian_monomial((a, deg - m - a), m, jet, k).total
+                        assert entry.degree <= k, (a, deg - m - a, m, k)
+        assert laplacian_monomial((2, 0), 0, gamma_jet("t**2/4", 3), 0).total.is_zero()
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                           st.integers(-4, 4), max_size=5),
+           st.sampled_from(["flat", "t**2/4", "5*t**2/32 - 3*t**3/32"]), st.integers(0, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_product_is_the_sum_of_its_entries(self, coeffs, edge, k):
+        jet = _jet(edge)
+        P = xr(2, {((a, b), m): F(c, 3) for (a, b, m), c in coeffs.items()})
+        entries = [c * laplacian_monomial(mu, m, jet, k).total for (mu, m), c in P.items()]
+        assert laplacian_of_product(P, jet, k).total == sum(entries, XRPolynomial.zero(2))
 
     def test_numeric_curved_bracket(self):
         """Full curved bracket against finite differences of the true frame."""
