@@ -37,7 +37,6 @@ class RateReport:
     residual: float           # RMS log-space regression residual
     target: float
     exact: bool = False
-    unusable: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -51,11 +50,7 @@ class RateReport:
 
     @property
     def passed(self) -> bool:
-        if self.exact:
-            return True
-        if self.unusable:
-            return False
-        return self.exponent >= self.target - 0.2 and self.residual <= 0.3
+        return self.exact or (self.exponent >= self.target - 0.2 and self.residual <= 0.3)
 
     def to_csv(self) -> str:
         def fmt(*values):
@@ -125,8 +120,7 @@ def _sup_rates(dev, dist, scales, target, mode: str, min_nodes: int = 0,
         errors[j] = dev[sel].max() if sel.any() else 0.0
     expo, resid, exact = _fit_loglog(scales, errors)
     return RateReport(scales=scales, errors=errors, exponent=expo, residual=resid,
-                      target=target, exact=exact,
-                      unusable=(not exact and resid > 0.3), label=label)
+                      target=target, exact=exact, label=label)
 
 
 # ----------------------------------------------------------------------

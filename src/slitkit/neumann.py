@@ -131,9 +131,7 @@ def _q_to_xr(Q: YPolynomial, foot: XRPolynomial | None, degree: int) -> XRPolyno
     This is the one place a Q coefficient becomes exact: ``Fraction(c)``,
     so a float enters as the binary value it holds, never rounded.
     """
-    coeffs = [Fraction(0)] * (Q.degree + 1)
-    for mu, c in Q.coefficients.items():
-        coeffs[mu[0]] += Fraction(c)
+    coeffs = [Fraction(c) for c in Q.coeffs]
     return _compose(coeffs, XRPolynomial.x_var(Q.n, 0) if foot is None else foot, degree)
 
 

@@ -16,7 +16,10 @@ Three backends:
 
 Plus the barrier and energy utilities used by the compactness arguments.
 The finite-volume solve, the Dirichlet energy and the barrier share one
-description of the grid's cells and faces (``_cells``).
+description of the grid's cells and faces (``_cells``).  Both splittings
+(the grid's and the disc's tip splitting) take the cutoff and its two
+derivatives from one ``cutoff`` call, and the grid's reads its monomials
+from ``xrpoly._xpow``, the float monomial routine ``whitney`` also uses.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import IllConditioned, MaskDegenerate, NonConvergence, TruncationWarning
 from .geometry import SlitGeometry, frame_fields
-from .xrpoly import _bump, _indices_of_degree, edge_bracket
+from .xrpoly import _bump, _indices_of_degree, _xpow, edge_bracket
 
 # ----------------------------------------------------------------------
 # Half-angle series (2D, slit on the negative x1-axis)
@@ -102,36 +105,20 @@ def solve_series_2d(phi: Callable[[np.ndarray], np.ndarray], N: int) -> HalfAngl
 _CHI_A, _CHI_B = 0.125, 0.25
 
 
-def _smoothstep5(s):
-    return s**6 * (462 + s * (-1980 + s * (3465 + s * (-3080 + s * (1386 - 252 * s)))))
-
-
-def _smoothstep5_d1(s):
-    return s**5 * (2772 + s * (-13860 + s * (27720 + s * (-27720 + s * (13860 - 2772 * s)))))
-
-
-def _smoothstep5_d2(s):
-    return s**4 * (13860 + s * (-83160 + s * (194040 + s * (-221760 + s * (124740 - 27720 * s)))))
-
-
 def cutoff(r, a: float = _CHI_A, b: float = _CHI_B):
-    """chi(r): 1 for r <= a, 0 for r >= b, C^5 in between."""
-    s = np.clip((np.asarray(r, dtype=float) - a) / (b - a), 0.0, 1.0)
-    return 1.0 - _smoothstep5(s)
+    """(chi, chi', chi'') at r, from one clip s = (r - a)/(b - a) to [0, 1].
 
-
-def cutoff_d1(r, a: float = _CHI_A, b: float = _CHI_B):
+    chi = 1 - S(s) with the C^5 smoothstep S(s) = s^6 (462 - 1980 s + ...),
+    so chi is 1 for r <= a, 0 for r >= b and C^5 in between; the two
+    derivatives are zero outside the open band (a, b).
+    """
     r = np.asarray(r, dtype=float)
     s = np.clip((r - a) / (b - a), 0.0, 1.0)
-    out = -_smoothstep5_d1(s) / (b - a)
-    return np.where((r > a) & (r < b), out, 0.0)
-
-
-def cutoff_d2(r, a: float = _CHI_A, b: float = _CHI_B):
-    r = np.asarray(r, dtype=float)
-    s = np.clip((r - a) / (b - a), 0.0, 1.0)
-    out = -_smoothstep5_d2(s) / (b - a) ** 2
-    return np.where((r > a) & (r < b), out, 0.0)
+    band = (r > a) & (r < b)
+    chi = 1.0 - s**6 * (462 + s * (-1980 + s * (3465 + s * (-3080 + s * (1386 - 252 * s)))))
+    d1 = s**5 * (2772 + s * (-13860 + s * (27720 + s * (-27720 + s * (13860 - 2772 * s)))))
+    d2 = s**4 * (13860 + s * (-83160 + s * (194040 + s * (-221760 + s * (124740 - 27720 * s)))))
+    return chi, np.where(band, -d1 / (b - a), 0.0), np.where(band, -d2 / (b - a) ** 2, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -375,15 +362,6 @@ class _FVSystem:
 # Singularity splitting
 # ----------------------------------------------------------------------
 
-def _xpow(x: np.ndarray, mu) -> np.ndarray:
-    """x^mu at every row of the point array x."""
-    c = np.ones(len(x))
-    for i, e in enumerate(mu):
-        if e:
-            c = c * x[:, i] ** e
-    return c
-
-
 def _poly_columns(n: int, degree: int):
     """Multi-index/r-power keys of total degree <= degree, sorted."""
     return [(mu, m) for deg in range(degree + 1) for m in range(deg + 1)
@@ -394,7 +372,7 @@ def _vandermonde(keys, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Columns x^mu r^m, one per key, at the sample points (x, r)."""
     B = np.empty((len(r), len(keys)))
     for j, (mu, m) in enumerate(keys):
-        c = _xpow(x, mu)
+        c = _xpow(x.T, mu)
         B[:, j] = c * r**m if m else c
     return B
 
@@ -469,7 +447,7 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
     d = fr["d"]
     u0 = fr["u0"]
     nu = fr["nu"]
-    x = fr["x"]
+    xs = fr["x"].T
     lap_d = _laplacian_d(sol)
 
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
@@ -482,7 +460,7 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
             continue
         # per-monomial caches: the bracket, P and the radial term share
         # these node powers, and a grid-wide cache would cost memory
-        xpow = functools.cache(lambda k: _xpow(x, k))
+        xpow = functools.cache(lambda k: _xpow(xs, k))
         rpow = functools.cache(lambda j: r**j)
         xmu = xpow(mu)
         rm1 = rpow(m - 1) if m >= 1 else inv_r
@@ -491,9 +469,7 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
         grad_mu_nu = sum(e * xpow(_bump(mu, i, -1)) * nu[:, i] for i, e in enumerate(mu) if e)
         radial += a * (xmu * (m + 0.5) * rm1 + rm1 * d * grad_mu_nu)
 
-    chi = cutoff(r)
-    chi1 = cutoff_d1(r)
-    chi2 = cutoff_d2(r)
+    chi, chi1, chi2 = cutoff(r)
     lap_r = (1.0 + d * lap_d) * inv_r
 
     S = chi * u0 * P
@@ -648,6 +624,8 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8)
     side is linear in the fitted tip coefficient, so one sparse LU solve
     with two right-hand sides serves both the plain and the split system.
     """
+    if not -1.0 < gamma < 1.0:
+        raise ValueError("tip must be inside the disc")
     nx = int(round(2.0 / h)) + 1
     ny = int(round(1.0 / h)) + 1
     xs = np.linspace(-1.0, 1.0, nx)
@@ -701,43 +679,37 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8)
     vals = np.concatenate([diag, np.full(len(rows) - nun, -w)])
     A = sparse.coo_matrix((vals, (rows, cols)), shape=(nun, nun)).tocsc()
 
-    def boundary_rhs(value):
-        """Circle data ``value(x, y)`` at the arm points, as the stencil
-        moves it to the right-hand side."""
-        b = np.zeros(nun)
-        for k, xb, yb, denom in arms:
-            g = np.array([value(p, q) for p, q in zip(xb.tolist(), yb.tolist())], dtype=float)
-            b[k] += 2.0 * g / denom
-        return b
-
     def tip(uflat, r_lo, r_hi):
         """Coefficient of U0 in the fit uflat ~ U0 (c + c_d d + c_r r)."""
         r, d, w0 = rgt[ii], dgt[ii], u0g[ii]
         sel = (r >= r_lo) & (r <= r_hi) & (w0 > 0)
         return float(_lstsq_poly(1, 1, d[sel][:, None], r[sel], uflat[sel], scale=w0[sel])[1][0])
 
-    b = boundary_rhs(lambda xb, yb: phi(math.atan2(yb, xb)))
+    # the circle data at the arm points, moved to the right-hand side
+    b = np.zeros(nun)
+    for k, xb, yb, denom in arms:
+        g = np.array([phi(math.atan2(q, p)) for p, q in zip(xb.tolist(), yb.tolist())],
+                     dtype=float)
+        b[k] += 2.0 * g / denom
     # S = c S1 with S1 = chi U0 about the tip.  v = u_f - S solves
-    # A v = b + c b_S1 with b_S1 = Delta S1 - (S1 on the circle), so
-    # v = u + c w for the solutions u, w of the two columns
+    # A v = b + c b_S1 with b_S1 = Delta S1, so v = u + c w for the
+    # solutions u, w of the two columns.  S1 has no circle data to move:
+    # chi vanishes beyond b_cut <= 2 (1 - |gamma|) / 3, inside the
+    # distance 1 - |gamma| from the tip to the circle.
     a_cut = min(0.125, (1.0 - abs(gamma)) / 3.0)
     b_cut = 2.0 * a_cut
+    chi, chi1, chi2 = cutoff(rgt, a_cut, b_cut)
+    S1 = (chi * u0g)[ii]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lap_S1 = u0g * (cutoff_d2(rgt, a_cut, b_cut)
-                        + 2.0 * cutoff_d1(rgt, a_cut, b_cut) / np.where(rgt > 0, rgt, 1.0))
-    lap_S1 = np.where(rgt == 0, 0.0, lap_S1)
-
-    def S1_at(xb, yb):
-        dg = xb - gamma
-        rg = math.hypot(dg, yb)
-        return float(cutoff(rg, a_cut, b_cut)) * math.sqrt(max((dg + rg) / 2.0, 0.0))
-
-    b_S1 = lap_S1[ii] - boundary_rhs(S1_at)
+        lap_S1 = u0g * (chi2 + 2.0 * chi1 / np.where(rgt > 0, rgt, 1.0))
+    b_S1 = np.where(rgt == 0, 0.0, lap_S1)[ii]
+    # the grid-sized cutoff arrays are not needed through the solve
+    del chi, chi1, chi2, lap_S1
     # A's pattern is symmetric, and a symmetric ordering keeps the factor small
     u, w_S1 = spla.spsolve(A, np.column_stack([b, b_S1]), permc_spec="MMD_AT_PLUS_A").T
     r_lo, r_hi = max(0.02, 6 * h), 0.08
     c = tip(u, r_lo, max(r_hi, 2.5 * r_lo))
-    uf = u + c * (w_S1 + (cutoff(rgt, a_cut, b_cut) * u0g)[ii])
+    uf = u + c * (w_S1 + S1)
     return tip(uf, 4 * h, 24 * h), (xs, ys, _scatter(uf, idx, nx, ny))
 
 

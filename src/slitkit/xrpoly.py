@@ -8,6 +8,9 @@ jets) and the triangular solve for approximating polynomials.
 
 Everything here is exact: these results serve as oracles for the grid
 solvers, so no floats are allowed to enter the coefficient arithmetic.
+The one float routine, ``_xpow`` (c x^mu on coordinate arrays), sits
+beside ``edge_bracket``: the grid splitting passes it to the bracket,
+and the Whitney mollifier and its quadrature use it too.
 """
 
 from __future__ import annotations
@@ -291,6 +294,17 @@ def edge_bracket(mu: MultiIndex, m: int, xpow, rpow, d, nu, lap_d, half):
             out = out + xpow(_bump(mu, i, -2)) * rpow(m + 1) * (e * (e - 1))
         if e > 0:
             out = out + grad_w * nu[i] * xpow(_bump(mu, i, -1)) * e
+    return out
+
+
+def _xpow(xs, mu: MultiIndex, c=1.0):
+    """c * x^mu on the coordinate arrays ``xs``, multiplied from c in
+    coordinate order: ((c * x_1^mu_1) * x_2^mu_2) ...  For mu = 0 this
+    is the scalar c, which broadcasts against any node array."""
+    out = c
+    for x, e in zip(xs, mu):
+        if e:
+            out = out * x**e
     return out
 
 

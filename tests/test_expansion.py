@@ -58,7 +58,6 @@ class TestRateReport:
         assert self._mk(e, exponent=0.85).passed             # inside the margin
         assert not self._mk(e, exponent=1.0, residual=0.5).passed
         assert self._mk(e, exponent=0.0, exact=True).passed  # exact decay wins
-        assert not self._mk(e, exponent=3.0, unusable=True).passed
 
     def test_csv_roundtrip_fields(self):
         rep = self._mk([0.1, 0.05, 0.025, 0.0125, 0.00625], exponent=1.0)

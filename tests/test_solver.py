@@ -14,8 +14,6 @@ from slitkit.solver import (
     check_barrier,
     compute_energy,
     cutoff,
-    cutoff_d1,
-    cutoff_d2,
     make_axes,
     solve_fd,
     solve_series_2d,
@@ -63,18 +61,24 @@ class TestSeries:
 class TestCutoff:
     def test_plateau_and_support(self):
         r = np.array([0.0, 0.1, 0.125, 0.25, 0.3, 1.0])
-        chi = cutoff(r)
+        chi, chi1, chi2 = cutoff(r)
         assert np.all(chi[:3] == 1.0)
         assert np.all(chi[3:] == 0.0)
+        assert np.all(chi1 == 0.0) and np.all(chi2 == 0.0)
 
     def test_derivative_consistency(self):
-        r = np.linspace(0.13, 0.24, 50)
+        # the default band (1/8, 1/4) and a disc band (a, 2a): the disc
+        # uses a = (1 - |gamma|) / 3 = 1/15 at gamma = 0.8
         eps = 1e-6
-        fd1 = (cutoff(r + eps) - cutoff(r - eps)) / (2 * eps)
-        assert np.abs(fd1 - cutoff_d1(r)).max() < 1e-7
-        fd2 = (cutoff_d1(r + eps) - cutoff_d1(r - eps)) / (2 * eps)
-        scale = np.abs(cutoff_d2(r)).max()
-        assert np.abs(fd2 - cutoff_d2(r)).max() < 1e-4 * scale
+        for a in (0.125, 1.0 / 15.0):
+            b = 2.0 * a
+            r = np.linspace(1.04 * a, 1.92 * a, 50)
+            chi, chi1, chi2 = cutoff(r, a, b)
+            plus, minus = cutoff(r + eps, a, b), cutoff(r - eps, a, b)
+            fd1 = (plus[0] - minus[0]) / (2 * eps)
+            assert np.abs(fd1 - chi1).max() < 1e-7
+            fd2 = (plus[1] - minus[1]) / (2 * eps)
+            assert np.abs(fd2 - chi2).max() < 1e-4 * np.abs(chi2).max()
 
 
 class TestFlatOracle:
@@ -209,6 +213,12 @@ class TestDiscOracle:
         a, _ = solver.solve_disc_2d(gamma, _disc_phi, h=2**-6)
         assert a == pytest.approx(self.RECORDED[gamma], rel=1e-12, abs=0.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("gamma", [-1.0, 1.0, 1.2])
+    def test_tip_outside_disc_rejected(self, gamma):
+        # the cutoff band about the tip must fit inside the disc
+        with pytest.raises(ValueError):
+            solver.solve_disc_2d(gamma, _disc_phi, h=2**-5)
 
 
 class TestBarrier:

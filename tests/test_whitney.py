@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slitkit import whitney
 from slitkit import (
     Mollifier,
     OutOfChart,
@@ -58,6 +59,9 @@ class TestMollifier:
             build_mollifier(3, 0)
         with pytest.raises(ValueError):
             build_mollifier(1, 5)
+        # a negative order would return the bare bump, with no vanishing moments
+        with pytest.raises(ValueError):
+            build_mollifier(2, -1)
 
 
 class TestYPolynomial:
@@ -129,6 +133,26 @@ class TestJetMatch:
         for row in rows:
             assert row["approach_rate"] >= 1.0 + 1.0 - 0.3, row
             assert row["defects"][-1] < row["defects"][0]
+
+    def test_one_evaluation_pass(self, monkeypatch):
+        # one extension call for all 15 sample points, and two frame
+        # calls: the normal at Z and the feet of those points
+        calls = {"extend": 0, "frames": 0}
+        real_frames = whitney.frame_fields
+
+        def extend(mol, Q, geom, points):
+            calls["extend"] += 1
+            return np.zeros(len(points))
+
+        def frames(*args):
+            calls["frames"] += 1
+            return real_frames(*args)
+
+        monkeypatch.setattr(whitney, "whitney_extend", extend)
+        monkeypatch.setattr(whitney, "frame_fields", frames)
+        verify_jet_match(build_mollifier(2, 0), YPolynomial(2, {(2, 0): 1.0}),
+                         parabola_geometry(0.25), np.zeros(2))
+        assert calls == {"extend": 1, "frames": 2}
 
     def test_second_order_rejected(self):
         mol = build_mollifier(2, 0)
