@@ -4,8 +4,8 @@ A slit domain in R^(n+1) is the unit ball minus the set
 {x_{n+1} = 0, x_n <= g(x')} for a graph g with g(0) = 0, grad g(0) = 0.
 The singular frame at a point consists of the in-plane signed distance d
 to the interface edge, the cone radius r = sqrt(d^2 + x_{n+1}^2), the
-angle theta, the edge profile u0 = sqrt((d + r)/2) = r^(1/2) cos(theta/2)
-and the horizontal unit normal nu = grad d.
+edge profile u0 = sqrt((d + r)/2) = r^(1/2) cos(theta/2), with theta the
+angle of (d, x_{n+1}), and the horizontal unit normal nu = grad d.
 
 Jets of d, nu and the mean curvature about the origin are computed by
 Newton iteration on truncated series in exact rational polynomial
@@ -84,7 +84,8 @@ def parabola_geometry(a) -> SlitGeometry:
 
 
 def frame_fields(geom: SlitGeometry, X, Z):
-    """Vectorized frames over arrays of points; returns dict of arrays."""
+    """Vectorized frames over arrays of points: a dict of the arrays
+    d, r, u0, nu and foot (the edge parameter of the closest point)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.asarray(Z, dtype=float).ravel()
     m = Z.size
@@ -98,20 +99,24 @@ def frame_fields(geom: SlitGeometry, X, Z):
         foot[:] = X[:, 0] if geom.n == 2 else 0.0
     else:
         # vectorized damped Newton on the closest-point condition;
-        # F_t > 0 inside the ball for the small-curvature graphs we use
+        # F_t > 0 inside the ball for the small-curvature graphs we use.
+        # Each point stops once its own |F| < 1e-13, so its frame does
+        # not depend on the other points of the call
         x1 = X[:, 0]
         x2 = X[:, 1]
         t = x1.copy()
+        active = np.ones(m, dtype=bool)
         for _ in range(200):
             gt = np.asarray(geom.g(t), dtype=float)
             dgt = np.asarray(geom.dg(t), dtype=float)
             d2t = np.asarray(geom.d2g(t), dtype=float)
             Fv = (t - x1) + (gt - x2) * dgt
-            if np.max(np.abs(Fv)) < 1e-13:
+            active &= ~(np.abs(Fv) < 1e-13)
+            if not active.any():
                 break
             dF = 1.0 + dgt**2 + (gt - x2) * d2t
             dF = np.where(dF > 0.25, dF, 0.25)
-            t = t - np.clip(Fv / dF, -0.25, 0.25)
+            t = np.where(active, t - np.clip(Fv / dF, -0.25, 0.25), t)
         gt = np.asarray(geom.g(t), dtype=float)
         dgt = np.asarray(geom.dg(t), dtype=float)
         res = np.abs((t - x1) + (gt - x2) * dgt)
@@ -129,13 +134,12 @@ def frame_fields(geom: SlitGeometry, X, Z):
         nu[:, 1] = np.where(on_edge, 1.0 / sl, (x2 - gt) / safe * sgn)
         foot[:] = t
     r = np.hypot(d, Z)
-    theta = np.arctan2(Z, d)
     u0 = np.where(
         d >= 0,
         np.sqrt(np.maximum(d + r, 0.0) / 2.0),
         np.abs(Z) / (2.0 * np.sqrt(np.maximum(r - d, 1e-300) / 2.0)),
     )
-    return {"d": d, "r": r, "theta": theta, "u0": u0, "nu": nu, "foot": foot}
+    return {"d": d, "r": r, "u0": u0, "nu": nu, "foot": foot}
 
 
 # ----------------------------------------------------------------------

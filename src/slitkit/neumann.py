@@ -113,14 +113,12 @@ class NeumannPair:
     """Approximating pair: tangential polynomial Q and radial corrector P.
 
     Relabeled coefficients b_{mu,0} = q_mu and b_{mu,m+1} = a_{mu,m}
-    reproduce the flat family T = Q + r P.  ``weight`` holds the edge
-    expansion N of r u_n / U0 (N(0,0) = 1/2) used in the solve.
+    reproduce the flat family T = Q + r P.
     """
 
     Q: YPolynomial
     P: XRPolynomial
     k: int
-    weight: XRPolynomial = field(default=None)
     residual: XRPolynomial = field(default=None)
 
 
@@ -136,7 +134,6 @@ def _q_to_xr(Q: YPolynomial, foot: XRPolynomial | None, degree: int) -> XRPolyno
 
 
 def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
-                       weight: XRPolynomial | None = None,
                        foot: XRPolynomial | None = None,
                        edge=None,
                        free_b1: dict | None = None) -> NeumannPair:
@@ -145,7 +142,8 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     Two triangular systems: the edge condition P(x(t), r=0) = 0 through
     degree k+1 pins the r-free layer with mu_n = 0 (free inputs supply
     the mu_n != 0 entries), and the vanishing of the weighted Laplacian
-    bracket of V = N E(Q) + r P through degree k+2 pins each a_{sigma,l}
+    bracket of V = N E(Q) + r P, with the constant weight N = 1/2 (the
+    flat value of r u_n / U0), through degree k+2 pins each a_{sigma,l}
     (l >= 1) by the triangular sweep of ``solve_approximating``.  Curved
     jet terms couple only to strictly lower degrees, so an ascending
     sweep is exact.
@@ -161,9 +159,7 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     if not jet.is_flat and jet.order < k:
         warnings.warn(f"jet of order {jet.order} < k = {k}: the corrector is exact "
                       f"only through degree {jet.order + 1}", TruncationWarning)
-    N = weight if weight is not None else XRPolynomial.constant(n, Fraction(1, 2))
-    if N.evaluate([0] * n, 0) == 0:
-        raise SingularSystem("weight expansion vanishes at the edge")
+    N = XRPolynomial.constant(n, Fraction(1, 2))
     if not jet.is_flat:
         if edge is None:
             raise ValueError("curved pair solve needs the edge graph series")
@@ -205,7 +201,7 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     R = weighted_laplacian_bracket(NEQ + P.mul_r_power(1), jet, degree=k + 2)
     if jet.is_flat and not R.is_zero():
         raise SingularSystem(f"flat residual should vanish exactly, got {R}")
-    return NeumannPair(Q=Q, P=P, k=k, weight=N, residual=R)
+    return NeumannPair(Q=Q, P=P, k=k, residual=R)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ Three backends:
   free boundary pipeline.
 
 Plus the barrier and energy utilities used by the compactness arguments.
-The finite-volume solve, the Dirichlet energy and the barrier share one
-description of the grid's cells and faces (``_cells``).  Both splittings
+The Dirichlet energy and the FV Laplacian share one description of the
+grid's cells and faces (``_cells``), and the solve and the barrier apply
+that one Laplacian (``_fv_laplacian``).  Both splittings
 (the grid's and the disc's tip splitting) take the cutoff and its two
 derivatives from one ``cutoff`` call, and the grid's reads its monomials
 from ``xrpoly._xpow``, the float monomial routine ``whitney`` also uses.
@@ -260,8 +261,8 @@ def _cells(axes: list):
 
     Returns ``(vol, faces)``: the cell volumes, and per axis a face
     record ``(lo, hi, T)`` with the node slices on either side of each
-    face and its transmissibility T = area / distance.  The solve, the
-    Dirichlet energy and the barrier all read these.
+    face and its transmissibility T = area / distance.  The FV Laplacian
+    (``_fv_laplacian``) and the Dirichlet energy read these.
     """
     widths = [_cell_widths(a) for a in axes]
     vol = functools.reduce(np.multiply, np.ix_(*widths))
@@ -274,88 +275,62 @@ def _cells(axes: list):
     return vol, faces
 
 
-class _FVSystem:
-    """Finite-volume operator on a half-space tensor grid, assembled
-    once per grid and reused across solves (the matrix depends only on
-    the node classification, not on the data).
+def _fv_laplacian(axes: list):
+    """The finite-volume Laplacian on every node of a tensor grid.
 
-    Fluxes between the node-centered cells of ``_cells``, the same cells
-    and faces the energy and the barrier read; the z = 0 face is a
-    natural (homogeneous Neumann) wall by the half-cell construction.
-    SPD.  The system size selects one of two backends:
+    Returns ``(vol, L)``: the ``_cells`` volumes and the symmetric CSR
+    matrix with (L u)_i = sum T (u_j - u_i) over the faces of cell i, so
+    L u / vol is Delta_h u.  The z = 0 face is a natural (homogeneous
+    Neumann) wall by the half-cell construction.  The solve inverts -L
+    on its interior nodes, and the barrier applies L itself.
+    """
+    vol, faces = _cells(axes)
+    node = np.arange(vol.size, dtype=np.int32).reshape(vol.shape)
+    diag = np.zeros(vol.shape)
+    rows, cols, vals = [], [], []
+    for lo, hi, T in faces:
+        diag[lo] -= T
+        diag[hi] -= T
+        rows.append(node[lo].ravel())
+        cols.append(node[hi].ravel())
+        vals.append(T.ravel())
+    r, c, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    dr = node.ravel()
+    L = sparse.coo_matrix((np.concatenate([v, v, diag.ravel()]),
+                           (np.concatenate([r, c, dr]), np.concatenate([c, r, dr]))),
+                          shape=(vol.size, vol.size)).tocsr()
+    return vol, L
+
+
+def _linear_solver(A, ndim: int):
+    """``solve(b, x0)`` for the SPD system A x = b; its size selects one
+    of two backends:
 
     * at most 150,000 unknowns in 2-D or 25,000 in 3-D: sparse LU,
-      factored once per instance with a symmetric ordering on A^T + A and
-      no pivoting, which keeps the factor small (5.8 M nonzeros against
+      factored once here with a symmetric ordering on A^T + A and no
+      pivoting, which keeps the factor small (5.8 M nonzeros against
       10.4 M for the default column ordering on the flat 2-D h = 1/256
       grid);
     * larger systems, where 3-D fill-in is prohibitive: Jacobi-
-      preconditioned conjugate gradients to rtol 1e-11 in at most 2000
-      iterations, NonConvergence with the relative residual otherwise.
+      preconditioned conjugate gradients from x0 to rtol 1e-11 in at most
+      2000 iterations, NonConvergence with the relative residual otherwise.
     """
+    if A.shape[0] <= (150_000 if ndim <= 2 else 25_000):
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return lambda b, x0=None: lu.solve(b)
+    M = sparse.diags(1.0 / A.diagonal())
 
-    def __init__(self, axes: list, interior: np.ndarray):
-        self.dims = interior.shape
-        self.vol, faces = _cells(axes)
-        self.ii = np.nonzero(interior)
-        self.nun = nun = len(self.ii[0])
-        idx = np.full(self.dims, -1, dtype=np.int64)
-        idx[self.ii] = np.arange(nun)
-        flat_index = np.arange(interior.size).reshape(self.dims)
-
-        diag = np.zeros(self.dims)
-        rows, cols, vals = [], [], []
-        # boundary coupling stored as (interior flat index, boundary
-        # flat node index, transmissibility) for rhs assembly
-        b_rows, b_nodes, b_T = [], [], []
-        for lo, hi, T in faces:
-            diag[lo] += T * interior[lo]
-            diag[hi] += T * interior[hi]
-            both = interior[lo] & interior[hi]
-            rows.append(idx[lo][both])
-            cols.append(idx[hi][both])
-            vals.append(-T[both])
-            for near, far in ((lo, hi), (hi, lo)):
-                one = interior[near] & ~interior[far]
-                b_rows.append(idx[near][one])
-                b_nodes.append(flat_index[far][one])
-                b_T.append(T[one])
-
-        r = np.concatenate(rows)
-        cm = np.concatenate(cols)
-        v = np.concatenate(vals)
-        dr = np.arange(nun)
-        self.A = sparse.coo_matrix(
-            (np.concatenate([v, v, diag[self.ii]]),
-             (np.concatenate([r, cm, dr]), np.concatenate([cm, r, dr]))),
-            shape=(nun, nun),
-        ).tocsr()
-        self.b_rows = np.concatenate(b_rows)
-        self.b_nodes = np.concatenate(b_nodes)
-        self.b_T = np.concatenate(b_T)
-        self._lu = None
-
-    def rhs(self, dirichlet_values: np.ndarray, rhs_field: np.ndarray) -> np.ndarray:
-        b = (rhs_field * self.vol)[self.ii].copy()
-        np.add.at(b, self.b_rows, self.b_T * dirichlet_values.ravel()[self.b_nodes])
-        return b
-
-    def solve(self, b: np.ndarray, x0=None) -> np.ndarray:
-        ndim = len(self.dims)
-        if self.nun <= (150_000 if ndim <= 2 else 25_000):
-            if self._lu is None:
-                self._lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            return self._lu.solve(b)
-        M = sparse.diags(1.0 / self.A.diagonal())
+    def solve(b, x0=None):
         bnorm = np.linalg.norm(b)
-        x, info = spla.cg(self.A, b, rtol=1e-11, atol=1e-11 * max(bnorm, 1.0),
+        x, info = spla.cg(A, b, rtol=1e-11, atol=1e-11 * max(bnorm, 1.0),
                           maxiter=2000, M=M, x0=x0)
         if info != 0:
-            resid = np.linalg.norm(b - self.A @ x) / max(bnorm, 1e-300)
+            resid = np.linalg.norm(b - A @ x) / max(bnorm, 1e-300)
             raise NonConvergence(f"conjugate gradients stalled (info={info}, "
                                  f"relative residual {resid:.2e})")
         return x
+    return solve
 
 
 # ----------------------------------------------------------------------
@@ -508,13 +483,17 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     if raw_rhs is not None:
         rhs += np.asarray(raw_rhs(*coords), dtype=float).reshape(dims)
 
-    system = _FVSystem(axes, interior)
+    vol, L = _fv_laplacian(axes)
+    inner = interior.ravel()
+    L = L[inner]
+    A, B = -L[:, inner], L[:, ~inner]
+    del L  # the node-wide operator is not needed through the solves
+    solve = _linear_solver(A, len(dims))
     last_u = None
 
     def run(dirichlet, rhs_field):
         nonlocal last_u
-        b = system.rhs(dirichlet, -rhs_field)
-        u = system.solve(b, x0=last_u)
+        u = solve(B @ dirichlet.ravel()[~inner] - (vol * rhs_field)[interior], x0=last_u)
         last_u = u
         out = dirichlet.copy()
         out[interior] = u
@@ -549,29 +528,23 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
 def check_barrier(geom: SlitGeometry, h: float = 2**-6) -> float:
     """min over off-slit nodes of r * Delta_h(-U0 + U0^2).
 
-    Delta_h is the finite-volume Laplacian of ``_cells``: the net face
-    flux sum T * (jump across the face) over the cell volume, which at
-    z = 0 is the even reflection through the half cell.  The continuum
-    object satisfies Delta(-U0 + U0^2) = 2|grad U0|^2 = (1/2) r^{-1} for
-    flat geometry, so the minimum should be a positive constant, stably
-    in h.  Nodes with r < 4h are excluded: within O(h) of the edge the
-    discrete Laplacian of the r^{1/2} profile is dominated by an
-    O(h^{-1/2}) stencil artifact of either sign, which the continuum
-    estimate does not control.  So is the slit itself (z = 0, d < 0),
-    where the stencil reaches across the jump, and every node with
-    |X| >= 0.9, which takes in the box faces.
+    Delta_h is the solve's own operator, L / vol from ``_fv_laplacian``:
+    the net face flux sum T * (jump across the face) over the cell
+    volume, which at z = 0 is the even reflection through the half cell.
+    The continuum object satisfies Delta(-U0 + U0^2) = 2|grad U0|^2 =
+    (1/2) r^{-1} for flat geometry, so the minimum should be a positive
+    constant, stably in h.  Nodes with r < 4h are excluded: within O(h)
+    of the edge the discrete Laplacian of the r^{1/2} profile is
+    dominated by an O(h^{-1/2}) stencil artifact of either sign, which
+    the continuum estimate does not control.  So is the slit itself
+    (z = 0, d < 0), where the stencil reaches across the jump, and every
+    node with |X| >= 0.9, which takes in the box faces.
     """
     axes = make_axes(geom.n, h, None)
     fr = _grid_frames(geom, axes)
-    vol, faces = _cells(axes)
-    u0 = fr["u0"].reshape(vol.shape)
-    w = -u0 + u0**2
-    div = np.zeros(vol.shape)
-    for lo, hi, T in faces:
-        flux = T * (w[hi] - w[lo])
-        div[lo] += flux
-        div[hi] -= flux
-    lap = (div / vol).ravel()
+    vol, L = _fv_laplacian(axes)
+    u0 = fr["u0"]
+    lap = (L @ (-u0 + u0**2)) / vol.ravel()
 
     r = fr["r"]
     R2 = sum(x**2 for x in fr["x"].T) + fr["z"] ** 2

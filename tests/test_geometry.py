@@ -70,30 +70,29 @@ class TestGeometry:
 class TestFlatFrame:
     def test_on_positive_axis(self):
         fr = frame_at(flat_geometry(2), (0.0, 0.5), 0.0)
-        assert fr["d"] == 0.5 and fr["r"] == 0.5 and fr["theta"] == 0.0
+        assert fr["d"] == 0.5 and fr["r"] == 0.5
         assert fr["u0"] == pytest.approx(math.sqrt(0.5))
         assert tuple(fr["nu"]) == (0.0, 1.0)
         assert fr["foot"] == 0.0
 
     def test_on_slit(self):
         fr = frame_at(flat_geometry(1), (-0.5,), 0.0)
-        assert fr["d"] == -0.5 and fr["theta"] == math.pi
+        assert fr["d"] == -0.5
         assert fr["u0"] == 0.0
 
     def test_u0_even_in_vertical(self):
         up = frame_at(flat_geometry(1), (0.3,), 0.2)
         dn = frame_at(flat_geometry(1), (0.3,), -0.2)
         assert up["u0"] == dn["u0"]
-        assert up["theta"] == -dn["theta"]
 
     @given(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
     @settings(max_examples=60, deadline=None)
     def test_polar_identities(self, d, z):
         fr = frame_at(flat_geometry(1), (d,), z)
         assert fr["r"] == pytest.approx(math.hypot(d, z))
-        # u0 = r^(1/2) cos(theta/2)
+        # u0 = r^(1/2) cos(theta/2) with theta the angle of (d, z)
         assert fr["u0"] == pytest.approx(
-            math.sqrt(fr["r"]) * math.cos(fr["theta"] / 2), abs=1e-12
+            math.sqrt(fr["r"]) * math.cos(math.atan2(z, d) / 2), abs=1e-12
         )
 
 
@@ -137,6 +136,21 @@ class TestClosestPoint:
             assert out["d"][i] == pytest.approx(d, abs=1e-7)
             assert out["u0"][i] == pytest.approx(math.sqrt((d + math.hypot(d, z)) / 2),
                                                  abs=1e-7)
+
+    @pytest.mark.parametrize("a", [F(1, 8), F(1, 4), F(3, 8)])
+    def test_frame_does_not_depend_on_the_batch(self, a):
+        # each point's Newton stops on its own residual, so a point's
+        # frame alone equals its frame among other points
+        geom = parabola_geometry(a)
+        rng = np.random.default_rng(7)
+        rad, ang = np.sqrt(rng.uniform(0, 0.9, 300)), rng.uniform(0, 2 * math.pi, 300)
+        X = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+        Z = rng.uniform(0.0, 0.3, 300)
+        batch = frame_fields(geom, X, Z)
+        for i in range(len(Z)):
+            alone = frame_fields(geom, X[i:i + 1], Z[i:i + 1])
+            for key, v in alone.items():
+                assert np.array_equal(v, batch[key][i:i + 1]), (key, i)
 
     def test_frame_fields_raises_when_newton_fails(self, monkeypatch):
         monkeypatch.setattr(SlitGeometry, "g", lambda self, t: np.nan * np.asarray(t))

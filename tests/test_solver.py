@@ -192,10 +192,30 @@ class TestDirectSolve:
             _, _, interior = solver._classify(g, axes)
             if hole:
                 interior[hole] = False
-            system = solver._FVSystem(axes, interior)
-            b = rng.standard_normal(system.nun)
-            x = system.solve(b)
-            assert np.linalg.norm(system.A @ x - b) <= 1e-10 * np.linalg.norm(b)
+            inner = interior.ravel()
+            A = -solver._fv_laplacian(axes)[1][inner][:, inner]
+            b = rng.standard_normal(A.shape[0])
+            x = solver._linear_solver(A, len(axes))(b)
+            assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestOneOperator:
+    @pytest.mark.parametrize("n, h", [(1, 2**-6), (2, 1 / 24)])
+    def test_barrier_operator_is_the_solve_operator(self, n, h):
+        # the solve inverts the interior rows of the L that check_barrier
+        # applies (splu at n = 1, CG at n = 2): after an unsplit solve,
+        # L u vanishes on the interior to the solver's tolerance
+        sol = solve_fd(flat_geometry(n), lambda *c: phi_flat_1(c[-2], c[-1]), h=h)
+        u = sol.values.ravel()
+        inner = ~(sol.dirichlet_mask | sol.slit_mask).ravel()
+        _, L = solver._fv_laplacian(sol.axes)
+        b = L[inner][:, ~inner] @ u[~inner]
+        assert np.abs((L @ u)[inner]).max() <= 1e-9 * np.linalg.norm(b)
+        # on a graded grid of the same dimension L is symmetric and
+        # kills constants
+        _, L = solver._fv_laplacian(make_axes(n, h, {"type": "power", "p": 2.0}))
+        assert abs(L - L.T).max() == 0.0
+        assert np.abs(L @ np.ones(L.shape[0])).max() <= 1e-12 * np.abs(L.diagonal()).max()
 
 
 def _disc_phi(t):
@@ -288,15 +308,15 @@ class TestEnergy:
         (2, 1 / 16, {"type": "power", "p": 2.0})])
     def test_gradient_part_is_the_solve_operator(self, n, h, grading):
         # u vanishes outside |X| < 1/2 and on the plate x_1 < 0, so the
-        # energy is 2 u^T A u for the all-Neumann operator of the solve
-        # plus the plate term
+        # energy is 2 u^T A u for the all-Neumann operator A = -L of the
+        # solve plus the plate term
         sol = solver.empty_solution(flat_geometry(n), h, grading)
         grids = np.meshgrid(*sol.axes, indexing="ij")
         inside = sum(g**2 for g in grids) < 0.25
         u = np.random.default_rng(3).uniform(0.1, 1.0, sol.dims) * inside
         u[(grids[-1] == 0) & (grids[0] < 0)] = 0.0
         sol.values = u
-        A = solver._FVSystem(sol.axes, np.ones(sol.dims, bool)).A
+        A = -solver._fv_laplacian(sol.axes)[1]
         plate = np.prod(np.meshgrid(*map(solver._cell_widths, sol.axes[:-1]), indexing="ij"), axis=0)
         expect = 2.0 * u.ravel() @ (A @ u.ravel()) + math.pi / 2.0 * plate[u[..., 0] > 0].sum()
         assert compute_energy(sol) == pytest.approx(expect, rel=1e-13, abs=0.0)

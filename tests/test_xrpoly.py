@@ -312,8 +312,6 @@ class TestSweep:
             assert P == poly(jet.n, case["P"]), case
         for case in ref["solve_pair_systems"]:
             desc, kw = case["jet"], {}
-            if "weight" in case:
-                kw["weight"] = poly(2, case["weight"])
             if "free_b1" in case:
                 kw["free_b1"] = data(case["free_b1"])
             if "g" in desc:
