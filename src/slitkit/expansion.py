@@ -204,40 +204,33 @@ def formal_gradient(P0: XRPolynomial, jet: GammaJet) -> list[XRPolynomial]:
 
     grad_x(U0 P0) = (U0/r)[(1/2) P0 nu + r grad_x P0 + (d/dr P0) d nu]
     with nu and d replaced by their jets; each component truncated at
-    the degree of P0.
+    the degree of P0.  Every factor has degree >= 0, so each product is
+    cut there as it is formed.
     """
     if jet.order < P0.degree:
         raise ValueError("jet order below tangent polynomial degree")
     k1 = max(P0.degree, 0)
-    out = []
-    dP_r = P0.diff_r()
-    for i in range(jet.n):
-        comp = (Fraction(1, 2) * P0 * jet.nu[i]
-                + XRPolynomial.r_var(jet.n) * P0.diff_x(i)
-                + dP_r * jet.d * jet.nu[i])
-        out.append(comp.truncate(k1))
-    return out
+    r = XRPolynomial.r_var(jet.n)
+    half_P0, dP_r_d = Fraction(1, 2) * P0, P0.diff_r().mul_cut(jet.d, k1)
+    return [half_P0.mul_cut(v, k1) + r.mul_cut(P0.diff_x(i), k1) + dP_r_d.mul_cut(v, k1)
+            for i, v in enumerate(jet.nu)]
 
 
 def formal_hessian(P0: XRPolynomial, jet: GammaJet) -> list[list[XRPolynomial]]:
     """Formal second derivatives: u_ij = (U0/r^3)(P0^ij + ...).
 
     Obtained by differentiating U0 r^{-1} P0^i once more with the
-    product rule for the frame fields (the r^{-s} recursion with s = 1).
+    product rule for the frame fields (the r^{-s} recursion with s = 1);
+    each product is cut at degree P0.degree + 1 as it is formed.
     """
     grads = formal_gradient(P0, jet)
     k2 = max(P0.degree + 1, 0)
     r = XRPolynomial.r_var(jet.n)
-    out = []
-    for gi in grads:
-        row = []
-        for j in range(jet.n):
-            comp = ((Fraction(1, 2) * r - jet.d) * jet.nu[j] * gi
-                    + r * r * gi.diff_x(j)
-                    + r * jet.d * jet.nu[j] * gi.diff_r())
-            row.append(comp.truncate(k2))
-        out.append(row)
-    return out
+    r2 = r.mul_cut(r, k2)
+    a = [(Fraction(1, 2) * r - jet.d).mul_cut(v, k2) for v in jet.nu]
+    b = [r.mul_cut(jet.d, k2).mul_cut(v, k2) for v in jet.nu]
+    return [[a[j].mul_cut(gi, k2) + r2.mul_cut(gi.diff_x(j), k2) + b[j].mul_cut(gi.diff_r(), k2)
+             for j in range(jet.n)] for gi in grads]
 
 
 def derivative_rate_checks(sol: GridSolution, P0: XRPolynomial, jet: GammaJet,

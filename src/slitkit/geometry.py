@@ -9,7 +9,9 @@ angle of (d, x_{n+1}), and the horizontal unit normal nu = grad d.
 
 Jets of d, nu and the mean curvature about the origin are computed by
 Newton iteration on truncated series in exact rational polynomial
-arithmetic, so that the Laplacian table stays exact.
+arithmetic, so that the Laplacian table stays exact.  The iteration
+stops at its exact fixed point, and every series product forms only the
+terms below the truncation degree.
 """
 
 from __future__ import annotations
@@ -211,18 +213,21 @@ def _compose(coeffs, t: XRPolynomial, order: int) -> XRPolynomial:
     """sum_j coeffs[j] t^j by Horner, truncated at total degree ``order``."""
     out = XRPolynomial.zero(t.n)
     for c in reversed(coeffs):
-        out = (out * t + c).truncate(order)
+        out = out.mul_cut(t, order) + c
     return out
 
 
 def _binomial_series(s: XRPolynomial, alpha: Fraction, order: int) -> XRPolynomial:
     """(1 + s)^alpha through total degree ``order`` for s(0) = 0; alpha = -1
-    gives the geometric series of 1/(1 + s)."""
+    gives the geometric series of 1/(1 + s).  A constant term in s would
+    feed degree 0 from every power of s, so it raises ValueError."""
+    if s.coeff((0,) * s.n, 0):
+        raise ValueError("binomial series needs s(0) = 0")
     out = spow = XRPolynomial.constant(s.n, 1)
     coeff = Fraction(1)
     for j in range(1, order + 1):
         coeff = coeff * (alpha - (j - 1)) / j
-        spow = (spow * s).truncate(order)
+        spow = spow.mul_cut(s, order)
         if spow.is_zero():
             break
         out = out + coeff * spow
@@ -234,18 +239,25 @@ def _foot_series(g, order: int, steps: int) -> XRPolynomial:
 
     Newton iteration on the truncated series of
     F(t) = (t - x_1) + (g(t) - x_2) g'(t) = 0, starting from t = x_1, with
-    ``steps`` iterations and truncation at total degree ``order``.
+    at most ``steps`` iterations and truncation at total degree
+    ``order``.  It stops once F(t) vanishes through ``order``: that t is
+    an exact fixed point, which every later step would return unchanged.
+    Below order 1 the series of t is zero, as t(0) = 0.
     """
+    if order < 1:
+        return XRPolynomial.zero(2)
     dg = _derivative(g)
     d2g = _derivative(dg)
     x1, x2 = XRPolynomial.x_var(2, 0), XRPolynomial.x_var(2, 1)
     t = x1
     for _ in range(steps):
         gt, dgt, d2gt = (_compose(c, t, order) for c in (g, dg, d2g))
-        F = ((t - x1) + (gt - x2) * dgt).truncate(order)
+        F = (t - x1) + (gt - x2).mul_cut(dgt, order)
+        if F.is_zero():
+            break
         # F'(t) = 1 + g'(t)^2 + (g(t) - x_2) g''(t) is 1 at the origin
-        dF1 = (dgt * dgt + (gt - x2) * d2gt).truncate(order)
-        t = (t - F * _binomial_series(dF1, Fraction(-1), order)).truncate(order)
+        dF1 = dgt.mul_cut(dgt, order) + (gt - x2).mul_cut(d2gt, order)
+        t = t - F.mul_cut(_binomial_series(dF1, Fraction(-1), order), order)
     return t
 
 
@@ -264,8 +276,8 @@ def gamma_jet(edge, order: int) -> GammaJet:
     dgt = _compose(_derivative(g), t, k)
     # d^2 = (x1 - t)^2 + (x2 - gt)^2 and x1 - t = -(x2 - gt) * dgt, so
     # d = (x2 - gt) * sqrt(1 + dgt^2), positive on the +e_2 side.
-    root = _binomial_series((dgt * dgt).truncate(k), Fraction(1, 2), k)
-    d = ((XRPolynomial.x_var(2, 1) - gt) * root).truncate(k)
+    root = _binomial_series(dgt.mul_cut(dgt, k), Fraction(1, 2), k)
+    d = (XRPolynomial.x_var(2, 1) - gt).mul_cut(root, k)
     # nu = grad d and kappa = -Laplacian(d), differentiating the series
     nu = [d.diff_x(0).truncate(order), d.diff_x(1).truncate(order)]
     kappa = -(nu[0].diff_x(0) + nu[1].diff_x(1))

@@ -159,7 +159,6 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
     if not jet.is_flat and jet.order < k:
         warnings.warn(f"jet of order {jet.order} < k = {k}: the corrector is exact "
                       f"only through degree {jet.order + 1}", TruncationWarning)
-    N = XRPolynomial.constant(n, Fraction(1, 2))
     if not jet.is_flat:
         if edge is None:
             raise ValueError("curved pair solve needs the edge graph series")
@@ -187,14 +186,14 @@ def solve_pair_systems(jet: GammaJet, Q: YPolynomial, k: int,
         for (mu, m), v in a.items():
             term = XRPolynomial.monomial(1, mu[:1], 0, v)
             for _ in range(mu[1]):
-                term = (term * gt).truncate(deg)
+                term = term.mul_cut(gt, deg)
             trace = trace + term
         for ((j,), _), v in trace.items():
             a[((j, 0), 0)] = -v
 
     # the l >= 1 layers: W(r P) = r^2 * (bracket of P), so P solves the
     # approximating sweep against -W(N E(Q)) / r^2
-    NEQ = (N * EQ).truncate(k + 2)
+    NEQ = XRPolynomial.constant(n, Fraction(1, 2)).mul_cut(EQ, k + 2)
     W0 = weighted_laplacian_bracket(NEQ, jet, degree=k + 2)
     target = XRPolynomial(n, {(mu, m - 2): -v for (mu, m), v in W0.items() if m >= 2})
     P = _sweep(jet, target, k, XRPolynomial(n, a))

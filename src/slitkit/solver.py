@@ -489,14 +489,10 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     A, B = -L[:, inner], L[:, ~inner]
     del L  # the node-wide operator is not needed through the solves
     solve = _linear_solver(A, len(dims))
-    last_u = None
 
-    def run(dirichlet, rhs_field):
-        nonlocal last_u
-        u = solve(B @ dirichlet.ravel()[~inner] - (vol * rhs_field)[interior], x0=last_u)
-        last_u = u
+    def run(dirichlet, rhs_field, x0=None):
         out = dirichlet.copy()
-        out[interior] = u
+        out[interior] = solve(B @ dirichlet.ravel()[~inner] - (vol * rhs_field)[interior], x0=x0)
         out[slit] = 0.0
         return out
 
@@ -514,7 +510,8 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
         S = S.reshape(dims)
         lap_S = lap_S.reshape(dims)
         v_diri = np.where(outer, diri_vals - S, 0.0)
-        v = run(v_diri, rhs - lap_S)
+        # the remainder v = u - S starts from the current u less the new S
+        v = run(v_diri, rhs - lap_S, (sol.values - S)[interior])
         sol.values = v + S
         sol.values[slit] = 0.0
         sol.values[outer] = diri_vals[outer]

@@ -1,10 +1,13 @@
 """Exact rational polynomial algebra in the (x, r) variables.
 
 Polynomials are stored as sparse maps from (multi-index, r-power) to
-``Fraction`` coefficients.  The module provides the Laplacian table for
-products of the square-root edge profile with such monomials (exact on
-the flat edge, cut at a given degree on a curved one through geometry
-jets) and the triangular solve for approximating polynomials.
+``Fraction`` coefficients.  Every truncated series product goes through
+``XRPolynomial.mul_cut``, which forms only the terms a degree cut keeps.
+The module provides the Laplacian table for products of the square-root
+edge profile with such monomials (exact on the flat edge, cut at a given
+degree on a curved one through geometry jets, each monomial reading the
+jet only through its own degree budget) and the triangular solve for
+approximating polynomials.
 
 Everything here is exact: these results serve as oracles for the grid
 solvers, so no floats are allowed to enter the coefficient arithmetic.
@@ -16,6 +19,7 @@ and the Whitney mollifier and its quadrature use it too.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,13 +166,29 @@ class XRPolynomial:
         if isinstance(other, (int, Fraction, str)):
             f = _frac(other)
             return XRPolynomial._wrap(self.n, {k: v * f for k, v in self._c.items()})
+        return self.mul_cut(other, math.inf)
+
+    def mul_cut(self, other: "XRPolynomial", k: float) -> "XRPolynomial":
+        """``(self * other).truncate(k)``, forming only the kept terms.
+
+        The one product loop: ``other``'s terms are sorted by degree once,
+        and each row stops at the first term that would pass degree k.
+        ``__mul__`` runs it with k = inf.
+        """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
+        terms = sorted(((sum(mu) + m, mu, m, v) for (mu, m), v in other._c.items()),
+                       key=operator.itemgetter(0))
         c: dict[Key, Fraction] = {}
         for (mu1, m1), v1 in self._c.items():
-            for (mu2, m2), v2 in other._c.items():
-                key = (tuple(a + b for a, b in zip(mu1, mu2)), m1 + m2)
-                c[key] = c.get(key, Fraction(0)) + v1 * v2
+            budget = k - sum(mu1) - m1
+            for deg2, mu2, m2, v2 in terms:
+                if deg2 > budget:
+                    break
+                key = (tuple(map(operator.add, mu1, mu2)), m1 + m2)
+                p = v1 * v2
+                old = c.get(key)
+                c[key] = p if old is None else old + p
         return XRPolynomial._wrap(self.n, c)
 
     __rmul__ = __mul__
@@ -315,9 +335,9 @@ def poly_bracket(mu: MultiIndex, m: int, d: XRPolynomial, nu, lap_d: XRPolynomia
     A positive ``shift`` lets m go negative while every requested power
     r^j is stored as r^(j + shift) >= 0.
     """
-    n = d.n
-    return edge_bracket(tuple(mu), m, lambda a: XRPolynomial.monomial(n, a, 0),
-                        lambda j: XRPolynomial.monomial(n, (0,) * n, j + shift),
+    n, one = d.n, Fraction(1)
+    return edge_bracket(tuple(mu), m, lambda a: XRPolynomial._wrap(n, {(a, 0): one}),
+                        lambda j: XRPolynomial._wrap(n, {((0,) * n, j + shift): one}),
                         d, nu, lap_d, Fraction(1, 2))
 
 
@@ -334,12 +354,9 @@ def flat_principal(n: int, mu: MultiIndex, m: int) -> XRPolynomial:
 
 
 def _jet_terms(jet, k: int) -> tuple:
-    """d, nu and Delta d = -kappa of a jet, cut at degree k.
-
-    Every factor of the bracket has degree >= 0, so jet terms above
-    degree k cannot reach a bracket truncated at k; dropping them first
-    saves the products that would be thrown away.
-    """
+    """d, nu and Delta d = -kappa of a jet, cut at degree k: one
+    monomial's budget in ``_bracket_sum``, so that the bracket never
+    forms the products its truncation would throw away."""
     return jet.d.truncate(k), [v.truncate(k) for v in jet.nu], -jet.kappa.truncate(k)
 
 
@@ -349,16 +366,26 @@ def _bracket_sum(V: XRPolynomial, jet, degree: int | None, lower: int = 0) -> XR
 
     ``lower`` = 0 gives the table of ``laplacian_of_product``, and
     ``lower`` = 1 the weighted bracket of ``weighted_laplacian_bracket``.
-    One cut rule: the jet terms and the result are cut at ``degree``,
-    and ``degree=None`` keeps the full jet and an exact, uncut result.
+    ``degree=None`` keeps the full jet and an exact, uncut result.  A cut
+    ``degree`` truncates the result, and each monomial reads the jet
+    terms cut at its own budget min(degree, degree - (|mu| + m + lower)
+    + 2), built once per budget: a jet term multiplies x- and r-powers
+    of degree at least |mu| + m + lower - 2 (the d r^(m-1) nu x^(mu-i)
+    term, counting d as degree >= 0), so a higher one cannot reach the
+    result, and a negative budget puts the whole bracket above it.
     """
-    d, nu, lap_d = (jet.d, jet.nu, -jet.kappa) if degree is None else _jet_terms(jet, degree)
+    k = math.inf if degree is None else degree
+    cut: dict = {}
     out: dict[Key, Fraction] = {}
     for (mu, m), v in V._c.items():
-        for key, c in poly_bracket(mu, m - lower, d, nu, lap_d, shift=2 * lower)._c.items():
+        budget = min(k, k - (sum(mu) + m + lower) + 2)
+        if budget < 0:
+            continue
+        if budget not in cut:
+            cut[budget] = _jet_terms(jet, budget)
+        for key, c in poly_bracket(mu, m - lower, *cut[budget], shift=2 * lower)._c.items():
             out[key] = out.get(key, 0) + v * c
-    total = XRPolynomial._wrap(V.n, out)
-    return total if degree is None else total.truncate(degree)
+    return XRPolynomial._wrap(V.n, out).truncate(k)
 
 
 def laplacian_of_product(P: XRPolynomial, jet, k: int) -> LaplacianResult:

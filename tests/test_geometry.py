@@ -13,6 +13,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slitkit.geometry
 from slitkit import (
     NonConvergence,
     SlitGeometry,
@@ -25,6 +26,7 @@ from slitkit import (
     gamma_jet,
     parabola_geometry,
 )
+from slitkit.geometry import _binomial_series, _foot_series
 
 
 def frame_at(geom, x, z):
@@ -236,6 +238,37 @@ class TestJets:
         j = gamma_jet("t**3/6", order=3)
         assert j.kappa.coeff((0, 0), 0) == 0
         assert j.kappa.coeff((1, 0), 0) == F(1, 1)
+
+    @given(st.fractions(F(-3, 8), F(3, 8)), st.fractions(F(-3, 8), F(3, 8)), st.integers(1, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_foot_series_is_a_newton_fixed_point(self, c2, c3, order):
+        # F(t) = (t - x1) + (g(t) - x2) g'(t) vanishes through the order,
+        # formed here from whole products of t
+        t = foot_jet(SlitGeometry(2, (0, 0, c2, c3)), order)
+        x1, x2 = XRPolynomial.x_var(2, 0), XRPolynomial.x_var(2, 1)
+        gt, dgt = c2 * t * t + c3 * t * t * t, 2 * c2 * t + 3 * c3 * t * t
+        assert ((t - x1) + (gt - x2) * dgt).truncate(order).is_zero()
+        assert t.degree <= order
+
+    def test_foot_series_stops_at_its_fixed_point(self, monkeypatch):
+        # one Newton step from t = x1 already solves F(t) = 0 through
+        # degree 4, so no further inverse of F'(t) is formed
+        orders = []
+        real = slitkit.geometry._binomial_series
+
+        def counting(s, alpha, order):
+            orders.append(order)
+            return real(s, alpha, order)
+
+        monkeypatch.setattr(slitkit.geometry, "_binomial_series", counting)
+        _foot_series(SlitGeometry(2, ("0", "0", "5/32", "-3/32")).coeffs, 4, 5)
+        assert orders == [4]
+
+    def test_binomial_series_needs_zero_constant_term(self):
+        x = XRPolynomial.x_var(2, 0)
+        assert _binomial_series(x, F(-1), 3) == 1 - x + x * x - x * x * x
+        with pytest.raises(ValueError, match=r"s\(0\) = 0"):
+            _binomial_series(x + F(1, 2), F(-1), 3)
 
     def test_rejects_bad_normalization(self):
         with pytest.raises(ValueError):

@@ -19,16 +19,26 @@ from slitkit import (
     flat_jet,
     flat_principal,
     foot_jet,
+    formal_gradient,
+    formal_hessian,
     gamma_jet,
     laplacian_monomial,
     laplacian_of_product,
     solve_approximating,
     solve_pair_systems,
 )
+from slitkit.xrpoly import _bracket_sum
 
 
 def xr(n, coeffs):
     return XRPolynomial(n, coeffs)
+
+
+def polys(n):
+    """Sparse polynomials in n x-variables and r, degree at most 3 per variable."""
+    keys = st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(0, 3))
+    return st.dictionaries(keys, st.integers(-4, 4), max_size=6).map(
+        lambda c: xr(n, {key: F(v, 3) for key, v in c.items()}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,6 +86,14 @@ class TestAlgebra:
         q = xr(1, {((0,), 0): c, ((2,), 1): 1})
         x, r = F(2, 3), F(5, 7)
         assert (p * q).evaluate([x], r) == p.evaluate([x], r) * q.evaluate([x], r)
+
+    @given(st.data(), st.sampled_from([1, 2]), st.integers(-1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_cut_is_the_truncated_product(self, data, n, k):
+        a, b = data.draw(polys(n)), data.draw(polys(n))
+        assert a.mul_cut(b, k) == (a * b).truncate(k)
+        x, r = [F(2, 3), F(-5, 7)][:n], F(3, 11)
+        assert (a * b).evaluate(x, r) == a.evaluate(x, r) * b.evaluate(x, r)
 
 
 class TestFlatTable:
@@ -198,6 +216,15 @@ class TestCurvedTable:
         P = xr(2, {((a, b), m): F(c, 3) for (a, b, m), c in coeffs.items()})
         entries = [c * laplacian_monomial(mu, m, jet, k).total for (mu, m), c in P.items()]
         assert laplacian_of_product(P, jet, k).total == sum(entries, XRPolynomial.zero(2))
+
+    @given(polys(2), st.sampled_from(["t**2/4", "5*t**2/32 - 3*t**3/32"]),
+           st.integers(-1, 5), st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_cut_bracket_is_the_truncated_full_bracket(self, V, edge, k, lower):
+        # each monomial reads the jet only through its own budget; the
+        # cut result must still agree with the full jet's bracket
+        jet = _jet(edge)
+        assert _bracket_sum(V, jet, k, lower) == _bracket_sum(V, jet, None, lower).truncate(k)
 
     def test_numeric_curved_bracket(self):
         """Full curved bracket against finite differences of the true frame."""
@@ -326,6 +353,39 @@ class TestSweep:
         for case in ref["constant_T"]:
             T = constant_T(case["n"], case["k"], q=data(case["q"]), free_b1=data(case["free_b1"]))
             assert T == poly(case["n"], case["T"]), case
+
+    def test_matches_reference_at_cut_orders(self):
+        # exact outputs recorded from the implementation that formed whole
+        # products and truncated them, at the orders where the cuts act
+        ref = json.loads((Path(__file__).parent / "data" / "cuts.json").read_text())
+        g, edge = ref["g"], [F(e) for e in ref["edge"]]
+
+        def poly(entries):
+            return xr(2, {(tuple(mu), m): F(c) for mu, m, c in entries})
+
+        def data(entries):
+            return {tuple(mu): F(v) for mu, v in entries}
+
+        jets = {case["order"]: gamma_jet(g, case["order"]) for case in ref["gamma_jet"]}
+        for case in ref["gamma_jet"]:
+            jet = jets[case["order"]]
+            assert jet.d == poly(case["d"]), case["order"]
+            assert jet.nu == [poly(v) for v in case["nu"]], case["order"]
+            assert jet.kappa == poly(case["kappa"]), case["order"]
+        for case in ref["foot_jet"]:
+            assert foot_jet(g, case["order"]) == poly(case["t"]), case["order"]
+        for case in ref["solve_approximating"]:
+            P = solve_approximating(jets[case["jet_order"]], poly(case["R"]), case["k"],
+                                    free=data(case["free"]))
+            assert P == poly(case["P"]), case["k"]
+        for case in ref["solve_pair_systems"]:
+            pair = solve_pair_systems(jets[case["jet_order"]], YPolynomial(2, data(case["q"])),
+                                      case["k"], foot=foot_jet(g, case["foot_order"]), edge=edge)
+            assert pair.P == poly(case["P"]) and pair.residual == poly(case["residual"])
+        for case in ref["formal"]:
+            P0, jet = poly(case["P0"]), jets[case["jet_order"]]
+            assert formal_gradient(P0, jet) == [poly(v) for v in case["gradient"]]
+            assert formal_hessian(P0, jet) == [[poly(v) for v in row] for row in case["hessian"]]
 
     def test_each_table_entry_is_built_once(self, monkeypatch):
         # the sweep adds each pinned coefficient's table entry to a running
