@@ -167,7 +167,7 @@ def _freeboundary(cfg, outdir):
 
     prob = TipProblem(phi=lambda th: np.cos(th / 2.0),
                       G=lambda g: cfg.G * np.ones_like(np.asarray(g, dtype=float)),
-                      bracket=tuple(cfg.bracket), series_terms=cfg.series_terms)
+                      bracket=tuple(cfg.bracket))
     res = solve_free_boundary(prob)
     _write_csv(outdir / "freeboundary.csv", "quantity,value", [
         ("gamma_star", _fmt(res.gamma)),

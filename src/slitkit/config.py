@@ -17,7 +17,7 @@ import yaml
 
 from .errors import ConfigInvalid
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _KINDS = ("solve", "expand", "rates", "whitney", "neumann", "freeboundary",
           "barrier", "energy")
@@ -38,7 +38,6 @@ class ExperimentConfig:
     min_cos: float = 0.5
     bracket: list = field(default_factory=lambda: [-0.9, 0.9])
     G: float = 1.0
-    series_terms: int = 64
     output_dir: str = ""
 
     def __post_init__(self):

@@ -7,19 +7,19 @@ condition picks the tip where a(gamma) = G(gamma).
 
 The tip is moved to the origin by the disc automorphism
 T(z) = (z - gamma)/(1 - gamma z), which maps the slit onto [-1, 0];
-the pulled-back problem is solved by the half-angle series, and the
-square-root coordinate transforms with the chain-rule factor
+the tip coefficient is the 1/2-power projection of the pulled-back
+data (a half-angle series is built once, at the root), and
+the square-root coordinate transforms with the chain-rule factor
 |T'(gamma)|^(1/2) = (1 - gamma^2)^(-1/2).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MultipleRoots, NoBracket, NonConvergence, TruncationWarning
-from .solver import HalfAngleSeries, solve_series_2d
+from .errors import MultipleRoots, NoBracket, NonConvergence
+from .solver import HalfAngleSeries, _half_angle_projection, solve_series_2d
 
 __all__ = ["TipProblem", "FreeBoundaryResult", "tip_coefficient",
            "solve_free_boundary"]
@@ -32,7 +32,6 @@ class TipProblem:
     phi: callable
     G: callable
     bracket: tuple = (-0.9, 0.9)
-    series_terms: int = 64
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -51,6 +50,8 @@ class TipProblem:
 
 def _pulled_back_phi(phi, gamma: float):
     """phi composed with T^{-1}(e^{i t}), t the angle after the Moebius map."""
+    if gamma == 0.0:
+        return phi
 
     def pulled(t):
         t = np.asarray(t, dtype=float)
@@ -61,20 +62,13 @@ def _pulled_back_phi(phi, gamma: float):
     return pulled
 
 
-def _tip_series(gamma: float, phi, series_terms: int):
-    """Half-angle series of the Moebius-normalized problem and the tip
-    coefficient a it gives: the 1/2-power coefficient times
-    |T'(gamma)|^(1/2)."""
-    series = solve_series_2d(_pulled_back_phi(phi, gamma) if gamma != 0.0 else phi,
-                             series_terms)
-    return series, float(series.coefficients[0]) / np.sqrt(1.0 - gamma * gamma)
-
-
-def tip_coefficient(gamma: float, phi, series_terms: int = 64) -> float:
-    """a = du/dU0 at the tip (gamma, 0)."""
+def tip_coefficient(gamma: float, phi) -> float:
+    """a = du/dU0 at the tip (gamma, 0): the 1/2-power projection of the
+    pulled-back data times |T'(gamma)|^(1/2).  No series is built."""
     if not -1.0 < gamma < 1.0:
         raise ValueError("tip must be inside the disc")
-    return _tip_series(gamma, phi, series_terms)[1]
+    c_half = _half_angle_projection(_pulled_back_phi(phi, gamma), 1)[0]
+    return float(c_half) / np.sqrt(1.0 - gamma * gamma)
 
 
 @dataclass
@@ -91,18 +85,13 @@ def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
     Coarse scan at 41 points for sign changes (NoBracket if none,
     MultipleRoots with every refined root if several), bisection to
     width 1e-3, then at most 60 secant steps to a residual below 1e-9.
-    Only the returned root's series can raise TruncationWarning; the
-    scan, bisection and secant evaluations are silent.
+    The search reads only ``tip_coefficient``; the one series built, the
+    root's, is the only source of TruncationWarning.
     """
     residual_tol = 1e-9
 
     def F(g):
-        # only the root's own series is judged (below); the scan,
-        # bisection and secant series may go unresolved near the
-        # bracket ends without touching the root
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            return tip_coefficient(g, prob.phi, prob.series_terms) - float(prob.G(g))
+        return tip_coefficient(g, prob.phi) - float(prob.G(g))
 
     lo, hi = prob.bracket
     gs = np.linspace(lo, hi, 41)
@@ -147,5 +136,6 @@ def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
         raise exc
 
     g_star, res = refine(*sign_changes[0])
-    series, a_star = _tip_series(g_star, prob.phi, prob.series_terms)
-    return FreeBoundaryResult(gamma=float(g_star), a=a_star, residual=abs(res), series=series)
+    series = solve_series_2d(_pulled_back_phi(prob.phi, g_star))
+    return FreeBoundaryResult(gamma=float(g_star), a=tip_coefficient(g_star, prob.phi),
+                              residual=abs(res), series=series)

@@ -34,7 +34,7 @@ class TestConfig:
 
     def test_removed_fields_rejected(self):
         for field in ("tolerance: 1.0e-8", "seed: 0", "phi: cos-half", "min_exponent: 1.3",
-                      "residual_limit: 0.3"):
+                      "residual_limit: 0.3", "series_terms: 128"):
             name = field.split(":")[0]
             with pytest.raises(ConfigInvalid, match=rf"unknown fields: \['{name}'\]"):
                 ExperimentConfig.from_yaml(f"kind: solve\n{field}\n")
@@ -103,9 +103,8 @@ class TestCLI:
         assert "gamma_star" in body
 
     def test_freeboundary_exit_code_is_series_truncation(self, tmp_path):
-        # G = 2.4 puts the tip at gamma* = 0.85029, where 64 terms leave
-        # |c_63.5| = 1.4e-6 > 1e-8; 128 terms resolve the same root.  Only
-        # the root's series warns, never the scan or the refinement
+        # the root's series takes 128 terms at gamma* = 0.85029 and passes;
+        # at gamma* = 0.98002 even 256 terms fail, and only that series warns
         from slitkit import TruncationWarning
 
         def gamma_star(out):
@@ -113,13 +112,11 @@ class TestCLI:
             return float(rows[1].split(",")[1])
 
         assert main_with_warnings(["freeboundary", "--G", "2.4", "--output",
-                                   str(tmp_path / "64")]) == (1, [TruncationWarning])
-        cfgfile = tmp_path / "fb.yaml"
-        cfgfile.write_text("series_terms: 128\n")
-        assert main_with_warnings(["freeboundary", "--config", str(cfgfile), "--G", "2.4",
-                                   "--output", str(tmp_path / "128")]) == (0, [])
-        assert abs(gamma_star(tmp_path / "64") - 0.85029) < 1e-5
-        assert abs(gamma_star(tmp_path / "128") - 0.85029) < 1e-5
+                                   str(tmp_path / "2.4")]) == (0, [])
+        assert main_with_warnings(["freeboundary", "--G", "6.4", "--bracket=-0.99,0.99",
+                                   "--output", str(tmp_path / "6.4")]) == (1, [TruncationWarning])
+        assert abs(gamma_star(tmp_path / "2.4") - 0.85029) < 1e-5
+        assert abs(gamma_star(tmp_path / "6.4") - 0.98002) < 1e-5
 
     def test_neumann_run(self, tmp_path):
         from slitkit import cli

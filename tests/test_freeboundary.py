@@ -15,6 +15,8 @@ from slitkit import (
     solve_free_boundary,
     tip_coefficient,
 )
+from slitkit import freeboundary, solver
+from slitkit.freeboundary import _pulled_back_phi
 
 
 def phi_u0(t):
@@ -63,6 +65,16 @@ class TestTipCoefficient:
         with pytest.raises(ValueError):
             tip_coefficient(1.0, phi_u0)
 
+    @pytest.mark.parametrize("gamma, a", [
+        (-0.9, 0.5130183344353195), (-0.3, 0.8652103302859525), (0.0, 1.0),
+        (0.3, 1.1833590745780667), (0.85, 2.3978075346645293), (0.9, 2.9095226360589046)])
+    def test_recorded_values_without_warning(self, gamma, a):
+        # a is the 1/2-power projection alone: the values a 64-term series
+        # gave, with no truncation rule to fail at |gamma| >= 0.85
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tip_coefficient(gamma, phi_u0) == a
+
 
 class TestTipProblem:
     def test_validates_bracket(self):
@@ -87,9 +99,7 @@ class TestSolveFreeBoundary:
     def test_unit_flux_root_at_origin(self):
         prob = TipProblem(phi=phi_u0, G=lambda g: 1.0 + 0.0 * np.asarray(g),
                           bracket=(-0.5, 0.5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = solve_free_boundary(prob)
+        res = solve_free_boundary(prob)
         assert isinstance(res, FreeBoundaryResult)
         assert abs(res.gamma) < 1e-6
         assert abs(res.a - 1.0) < 1e-8
@@ -100,17 +110,14 @@ class TestSolveFreeBoundary:
         # above 1 puts the root at positive gamma
         prob = TipProblem(phi=phi_u0, G=lambda g: 1.05 + 0.0 * np.asarray(g),
                           bracket=(-0.5, 0.5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = solve_free_boundary(prob)
+        res = solve_free_boundary(prob)
         assert res.gamma > 0.05
         assert abs(res.a - 1.05) < 1e-8
 
     def test_no_bracket(self):
         prob = TipProblem(phi=phi_u0, G=lambda g: 5.0 + 0.0 * np.asarray(g),
                           bracket=(-0.5, 0.5))
-        with pytest.raises(NoBracket), warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(NoBracket):
             solve_free_boundary(prob)
 
     def test_multiple_roots_reported(self):
@@ -122,8 +129,54 @@ class TestSolveFreeBoundary:
             return 1.05 - 2.0 * g**2
 
         prob = TipProblem(phi=phi_u0, G=G, bracket=(-0.45, 0.45))
-        with pytest.raises(MultipleRoots) as ei, warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(MultipleRoots) as ei:
             solve_free_boundary(prob)
         assert len(ei.value.roots) == 2
         assert ei.value.roots[0] < 0 < ei.value.roots[1]
+
+    def test_one_series_per_solve(self, monkeypatch):
+        # the search reads tip_coefficient alone; only the root builds a series
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return solver.solve_series_2d(phi)
+
+        monkeypatch.setattr(freeboundary, "solve_series_2d", counted)
+        prob = TipProblem(phi=phi_u0, G=lambda g: 1.05 + 0.0 * np.asarray(g),
+                          bracket=(-0.5, 0.5))
+        solve_free_boundary(prob)
+        assert len(calls) == 1
+
+    def test_root_series_picks_its_length(self):
+        # G = 2.4 puts the root at 0.85029, where 64 terms leave
+        # |c_63.5| = 1.4e-6 and 128 pass the truncation rule
+        prob = TipProblem(phi=phi_u0, G=lambda g: 2.4 + 0.0 * np.asarray(g))
+        res = solve_free_boundary(prob)
+        assert abs(res.gamma - 0.85029) < 1e-5
+        assert len(res.series.coefficients) == 128 and res.series.resolved
+
+    def test_unresolved_root_series_warns_once_at_the_cap(self):
+        prob = TipProblem(phi=phi_u0, G=lambda g: 6.4 + 0.0 * np.asarray(g),
+                          bracket=(-0.99, 0.99))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve_free_boundary(prob)
+        assert [w.category for w in caught] == [TruncationWarning]
+        assert abs(res.gamma - 0.98002) < 1e-5
+        assert len(res.series.coefficients) == 256 and not res.series.resolved
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.85, 0.95])
+def test_series_cap_within_rule_accuracy(gamma):
+    # 256 terms of the pulled-back data against a 4x finer composite
+    # Gauss-Legendre rule (256 panels x 24 nodes)
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(-np.pi, np.pi, 257)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    t = (mid[:, None] + half[:, None] * xg).ravel()
+    w = (half[:, None] * wg).ravel()
+    pulled = _pulled_back_phi(phi_u0, gamma)
+    q = (2 * np.arange(256) + 1) / 2.0
+    fine = (np.cos(q[:, None] * t) * (pulled(t) * w)).sum(axis=1) / np.pi
+    assert np.abs(solver._half_angle_projection(pulled, 256) - fine).max() < 1e-13

@@ -10,7 +10,6 @@ from slitkit.errors import NonConvergence, TruncationWarning
 from slitkit.geometry import flat_geometry, parabola_geometry
 from slitkit.solver import (
     GridSolution,
-    HalfAngleSeries,
     check_barrier,
     compute_energy,
     cutoff,
@@ -26,7 +25,7 @@ def phi_flat_1(x, z):
 
 class TestSeries:
     def test_cos_half_is_exact_u0(self):
-        s = solve_series_2d(lambda t: np.cos(t / 2.0), 8)
+        s = solve_series_2d(lambda t: np.cos(t / 2.0))
         assert abs(s.coefficients[0] - 1.0) < 1e-12
         assert np.abs(s.coefficients[1:]).max() < 1e-12
         assert s.resolved
@@ -34,28 +33,21 @@ class TestSeries:
     def test_identity_three_half_profile(self):
         # r^{3/2} cos(3 theta/2) has boundary trace cos(3t/2): only the
         # q = 3/2 coefficient survives
-        s = solve_series_2d(lambda t: np.cos(1.5 * t), 8)
+        s = solve_series_2d(lambda t: np.cos(1.5 * t))
         assert abs(s.coefficients[1] - 1.0) < 1e-12
         assert abs(s.coefficients[0]) < 1e-12
 
     def test_gauss_rule_matches_exact_coefficients(self):
         # cos^3(t/2) = 3/4 cos(t/2) + 1/4 cos(3t/2)
-        s = solve_series_2d(lambda t: np.cos(t / 2.0) ** 3, 16)
-        exact = np.zeros(16)
-        exact[:2] = 0.75, 0.25
-        assert np.abs(s.coefficients - exact).max() < 1e-11
-
-    def test_evaluation_matches_polar_form(self):
-        s = HalfAngleSeries(coefficients=np.array([1.0, 0.5]))
-        r, th = 0.3, 1.1
-        expect = math.sqrt(r) * math.cos(th / 2) + 0.5 * r**1.5 * math.cos(1.5 * th)
-        assert abs(s.evaluate_polar(np.array(r), np.array(th)) - expect) < 1e-14
+        s = solve_series_2d(lambda t: np.cos(t / 2.0) ** 3)
+        assert np.abs(s.coefficients[:2] - [0.75, 0.25]).max() < 1e-11
+        assert np.abs(s.coefficients[2:]).max() < 1e-11
 
     def test_truncation_warning_fires(self):
         # data with slow cosine decay: a genuine jump at the slit ends
         with pytest.warns(TruncationWarning):
-            s = solve_series_2d(lambda t: np.abs(np.cos(t / 2.0)) ** 0.25, 4)
-        assert not s.resolved
+            s = solve_series_2d(lambda t: np.abs(np.cos(t / 2.0)) ** 0.25)
+        assert not s.resolved and len(s.coefficients) == 256
 
 
 class TestCutoff:
