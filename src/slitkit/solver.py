@@ -10,7 +10,9 @@ Three backends:
   x_{n+1} >= 0 (even symmetry gives the Neumann plane for free), with
   optional singularity splitting that subtracts a fitted multiple of the
   edge profile so the remainder is smooth enough for second-order
-  stencils,
+  stencils; a 2-D system of at most 150,000 unknowns is factored once,
+  every other one is solved by conjugate gradients preconditioned by a
+  line-smoothed geometric multigrid V-cycle (``_Multigrid``),
 * a Shortley-Weller disc solver used as an independent oracle by the
   free boundary pipeline.
 
@@ -26,7 +28,10 @@ from ``xrpoly._xpow``, the float monomial routine ``whitney`` also uses.
 from __future__ import annotations
 
 import functools
+import itertools
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,10 +39,13 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import IllConditioned, MaskDegenerate, NonConvergence, TruncationWarning
 from .geometry import SlitGeometry, frame_fields
 from .xrpoly import _bump, _indices_of_degree, _xpow, edge_bracket
+
+_LOG = logging.getLogger("slitkit")
 
 # ----------------------------------------------------------------------
 # Half-angle series (2D, slit on the negative x1-axis)
@@ -305,31 +313,179 @@ def _fv_laplacian(axes: list):
     return vol, L
 
 
-def _linear_solver(A, ndim: int):
-    """``solve(b, x0)`` for the SPD system A x = b; its size selects one
-    of two backends:
+_DIRECT_2D = 150_000    # 2-D systems up to this many unknowns are factored
+_COARSEST = 3_000       # coarsening stops at this many unknowns
+_CYCLE_BUDGET = 100     # CG iterations, one V-cycle each
 
-    * at most 150,000 unknowns in 2-D or 25,000 in 3-D: sparse LU,
-      factored once here with a symmetric ordering on A^T + A and no
-      pivoting, which keeps the factor small (5.8 M nonzeros against
-      10.4 M for the default column ordering on the flat 2-D h = 1/256
-      grid);
-    * larger systems, where 3-D fill-in is prohibitive: Jacobi-
-      preconditioned conjugate gradients from x0 to rtol 1e-11 in at most
-      2000 iterations, NonConvergence with the relative residual otherwise.
+
+def _factor(A):
+    """Sparse LU with a symmetric ordering on A^T + A and no pivoting,
+    which keeps the factor small (5.8 M nonzeros against 10.4 M for the
+    default column ordering on the flat 2-D h = 1/256 grid)."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _prolongation(axes: list, idx: list, mask: np.ndarray, coarse_mask: np.ndarray):
+    """Tensor-product linear interpolation in the graded coordinates from
+    the unknowns ``coarse_mask`` of the coarse grid (the nodes ``idx``)
+    to the unknowns ``mask`` of the fine grid, as float32 CSR."""
+    fine = np.nonzero(mask)
+    rows = np.arange(len(fine[0]), dtype=np.int32)
+    weights = []
+    for a, i, f in zip(axes, idx, fine):
+        # each fine node lies in the coarse interval [lo, lo + 1]
+        lo = np.minimum(np.searchsorted(i, np.arange(len(a)), side="right") - 1, len(i) - 2)
+        hi = (a - a[i][lo]) / (a[i][lo + 1] - a[i][lo])
+        weights.append((lo[f], 1.0 - hi[f], hi[f]))
+    n_coarse = int(coarse_mask.sum())
+    number = np.full(coarse_mask.shape, -1, dtype=np.int32)
+    number[coarse_mask] = np.arange(n_coarse, dtype=np.int32)
+    r, c, v = [], [], []
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = functools.reduce(np.multiply, [ws[1 + k] for ws, k in zip(weights, corner)])
+        col = number[tuple(ws[0] + k for ws, k in zip(weights, corner))]
+        keep = (w != 0.0) & (col >= 0)
+        r.append(rows[keep])
+        c.append(col[keep])
+        v.append(w[keep].astype(np.float32))
+    return sparse.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                             shape=(len(rows), n_coarse))
+
+
+class _Level:
+    """One grid of the hierarchy above the coarsest: its operator in
+    float32, the factored tridiagonal line blocks of each axis, and the
+    prolongation from the next coarser grid with its transpose."""
+
+    def __init__(self, A, mask: np.ndarray, P):
+        self.A = sparse.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr),
+                                   shape=A.shape)
+        self.P, self.R = P, P.T.tocsr()
+        # the unknown number of each node, and each unknown's node
+        number = np.full(mask.shape, -1, dtype=np.int32)
+        number[mask] = np.arange(A.shape[0], dtype=np.int32)
+        node = np.flatnonzero(mask).astype(np.int32)
+        rows = np.repeat(np.arange(A.shape[0], dtype=np.int32), np.diff(A.indptr))
+        step = node[A.indices] - node[rows]
+        diag = A.diagonal()
+        strides = np.cumprod((mask.shape[1:] + (1,))[::-1])[::-1]
+        self.lines = []
+        for axis, stride in enumerate(strides):
+            # coupling of each unknown to the next unknown along the axis
+            # (zero where that node is not an unknown), then the unknowns
+            # line by line: z-lines are already contiguous
+            upper = np.zeros(A.shape[0])
+            along = step == stride
+            upper[rows[along]] = A.data[along]
+            perm = inv = None
+            d = diag
+            if axis < mask.ndim - 1:
+                perm = np.moveaxis(number, axis, -1).ravel()
+                perm = perm[perm >= 0]
+                inv = np.empty_like(perm)
+                inv[perm] = np.arange(len(perm), dtype=np.int32)
+                upper, d = upper[perm], diag[perm]
+            d, e, info = lapack.spttrf(d.astype(np.float32), upper[:-1].astype(np.float32))
+            if info != 0:
+                raise np.linalg.LinAlgError(f"line block of axis {axis} is not positive "
+                                            f"definite (info={info})")
+            self.lines.append((perm, inv, d, e))
+
+    def smooth(self, b, x, lines):
+        """Line block-Jacobi sweeps over ``lines`` in order; from zero
+        when ``x`` is None, so the first sweep needs no residual."""
+        for perm, inv, d, e in lines:
+            r = b if x is None else b - self.A @ x
+            t = lapack.spttrs(d, e, r if perm is None else np.take(r, perm))[0]
+            if perm is not None:
+                t = np.take(t, inv)
+            if x is None:
+                x = t
+            else:
+                x += t
+        return x
+
+
+class _Multigrid:
+    """Symmetric V(1,1)-cycle preconditioner for the FV system A on the
+    unknowns ``mask`` of the tensor grid ``axes``.
+
+    Each coarse axis is every other node of the fine one, both ends kept,
+    and the coarse unknowns are the fine unknowns on coarse nodes; each
+    coarse operator is ``_fv_laplacian`` of the coarse axes on those
+    unknowns.  Coarsening stops at ``_COARSEST`` unknowns or at an axis
+    of two nodes, and the coarsest system is factored.  The smoother is
+    alternating line block-Jacobi (omega = 1), axes ascending before the
+    coarse correction and descending after it.  The cycle runs in
+    float32 and returns float64.
     """
-    if A.shape[0] <= (150_000 if ndim <= 2 else 25_000):
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def __init__(self, A, axes: list, mask: np.ndarray):
+        self.levels = []
+        while A.shape[0] > _COARSEST and min(map(len, axes)) > 2:
+            # every other node of each axis, both ends kept
+            idx = [np.unique(np.append(np.arange(0, len(a), 2), len(a) - 1)) for a in axes]
+            coarse_axes = [a[i] for a, i in zip(axes, idx)]
+            coarse_mask = mask[np.ix_(*idx)]
+            self.levels.append(_Level(A, mask, _prolongation(axes, idx, mask, coarse_mask)))
+            keep = coarse_mask.ravel()
+            A = -_fv_laplacian(coarse_axes)[1][keep][:, keep]
+            axes, mask = coarse_axes, coarse_mask
+        self.unknowns = [lv.A.shape[0] for lv in self.levels] + [A.shape[0]]
+        self.coarsest = _factor(A)
+
+    def __call__(self, b):
+        b = b.astype(np.float32)
+        down = []
+        for lv in self.levels:
+            x = lv.smooth(b, None, lv.lines)
+            down.append((b, x))
+            b = lv.R @ (b - lv.A @ x)
+        e = self.coarsest.solve(b).astype(np.float32)
+        for lv, (b, x) in zip(self.levels[::-1], down[::-1]):
+            x += lv.P @ e
+            e = lv.smooth(b, x, lv.lines[::-1])
+        return e.astype(np.float64)
+
+
+def _linear_solver(A, axes: list, interior: np.ndarray):
+    """``solve(b, x0)`` for the SPD finite-volume system A x = b on the
+    unknowns ``interior`` of the tensor grid ``axes``.
+
+    A 2-D system of at most 150,000 unknowns is factored once here
+    (``_factor``).  Every other system, where the fill-in of a factor is
+    prohibitive, is solved by conjugate gradients from x0 to rtol 1e-11,
+    preconditioned by one multigrid V-cycle per iteration
+    (``_Multigrid``), in at most 100 iterations; NonConvergence with the
+    relative residual otherwise.  The backend, the unknowns per level and
+    the setup time, then each solve's iterations and final relative
+    residual, are logged at DEBUG on the ``slitkit`` logger.
+    """
+    t0 = time.perf_counter()
+    if len(axes) == 2 and A.shape[0] <= _DIRECT_2D:
+        lu = _factor(A)
+        _LOG.debug("linear solver: splu, %d unknowns, setup %.3f s",
+                   A.shape[0], time.perf_counter() - t0)
         return lambda b, x0=None: lu.solve(b)
-    M = sparse.diags(1.0 / A.diagonal())
+    mg = _Multigrid(A, axes, interior)
+    M = spla.LinearOperator(A.shape, matvec=mg, dtype=np.float64)
+    _LOG.debug("linear solver: multigrid-cg, unknowns per level %s, setup %.3f s",
+               "/".join(map(str, mg.unknowns)), time.perf_counter() - t0)
 
     def solve(b, x0=None):
         bnorm = np.linalg.norm(b)
+        iterations = 0
+
+        def count(xk):
+            nonlocal iterations
+            iterations += 1
+
         x, info = spla.cg(A, b, rtol=1e-11, atol=1e-11 * max(bnorm, 1.0),
-                          maxiter=2000, M=M, x0=x0)
+                          maxiter=_CYCLE_BUDGET, M=M, x0=x0, callback=count)
+        resid = np.linalg.norm(b - A @ x) / max(bnorm, 1e-300)
+        _LOG.debug("cg: %d iterations, relative residual %.2e", iterations, resid)
         if info != 0:
-            resid = np.linalg.norm(b - A @ x) / max(bnorm, 1e-300)
             raise NonConvergence(f"conjugate gradients stalled (info={info}, "
                                  f"relative residual {resid:.2e})")
         return x
@@ -397,18 +553,16 @@ def _fit_split_coefficients(sol: GridSolution, r_lo: float, r_hi: float,
                        scale=u0[sel])
 
 
-def _laplacian_d(sol: GridSolution):
-    """Delta d at the nodes: curvature of the parallel curves through
-    the foot point, zero for flat geometry."""
-    fr = sol.node_frames()
-    geom = sol.geom
+def _laplacian_d(geom: SlitGeometry, foot: np.ndarray, d: np.ndarray):
+    """Delta d at points with foot parameter ``foot`` and signed distance
+    ``d``: curvature of the parallel curves through the foot point, zero
+    for flat geometry."""
     if geom.flat:
-        return np.zeros_like(fr["r"])
-    t = fr["foot"]
-    gp = np.asarray(geom.dg(t), dtype=float)
-    gpp = np.asarray(geom.d2g(t), dtype=float)
+        return np.zeros_like(d)
+    gp = np.asarray(geom.dg(foot), dtype=float)
+    gpp = np.asarray(geom.d2g(foot), dtype=float)
     kap0 = gpp / (1.0 + gp**2) ** 1.5
-    return -kap0 / (1.0 - kap0 * fr["d"])
+    return -kap0 / (1.0 - kap0 * d)
 
 
 def _split_field_and_laplacian(sol: GridSolution, keys, coef):
@@ -419,14 +573,16 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
     grad r . grad U0 = U0/(2r), Delta r = (1 + d Delta d)/r,
     Delta U0 = (Delta d / 2) U0/r, grad_x U0 = nu U0/(2r), and
     grad x^mu . grad r = sum_i mu_i x^(mu-i) d nu^i / r.
+
+    S and its Laplacian vanish where the cutoff does (r >= _CHI_B), so
+    both are evaluated on the cutoff's support only and are zero
+    elsewhere.
     """
     fr = sol.node_frames()
-    r = fr["r"]
-    d = fr["d"]
-    u0 = fr["u0"]
-    nu = fr["nu"]
-    xs = fr["x"].T
-    lap_d = _laplacian_d(sol)
+    support = fr["r"] < _CHI_B
+    r, d, u0, nu = (fr[key][support] for key in ("r", "d", "u0", "nu"))
+    xs = fr["x"][support].T
+    lap_d = _laplacian_d(sol.geom, fr["foot"][support], d)
 
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
 
@@ -450,11 +606,12 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
     chi, chi1, chi2 = cutoff(r)
     lap_r = (1.0 + d * lap_d) * inv_r
 
-    S = chi * u0 * P
-    lap_S = (chi * u0 * inv_r * bracket
-             + 2.0 * chi1 * u0 * radial
-             + (chi2 + chi1 * lap_r) * u0 * P)
-    lap_S = np.where(r == 0.0, 0.0, lap_S)
+    S = np.zeros(support.shape)
+    lap_S = np.zeros(support.shape)
+    S[support] = chi * u0 * P
+    lap_S[support] = np.where(r == 0.0, 0.0, chi * u0 * inv_r * bracket
+                              + 2.0 * chi1 * u0 * radial
+                              + (chi2 + chi1 * lap_r) * u0 * P)
     return S, lap_S
 
 
@@ -491,7 +648,7 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     L = L[inner]
     A, B = -L[:, inner], L[:, ~inner]
     del L  # the node-wide operator is not needed through the solves
-    solve = _linear_solver(A, len(dims))
+    solve = _linear_solver(A, axes, interior)
 
     def run(dirichlet, rhs_field, x0=None):
         out = dirichlet.copy()

@@ -1,6 +1,10 @@
 """Series, finite-difference, barrier, and energy solver tests."""
+import gc
+import logging
 import math
+import re
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +25,9 @@ from slitkit.solver import (
 
 def phi_flat_1(x, z):
     return np.sqrt((x + np.hypot(x, z)) / 2.0)
+
+
+GRADED = {"type": "power", "p": 2.0}
 
 
 class TestSeries:
@@ -137,7 +144,7 @@ class TestGrids:
 
 
 class TestLinearSolve:
-    # flat n = 2 at h = 1/24 has more unknowns than the 25k direct-solve limit
+    # flat n = 2 at h = 1/24: a 3-D system, solved by multigrid-preconditioned CG
     def _solve(self):
         return solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 24)
 
@@ -187,8 +194,152 @@ class TestDirectSolve:
             inner = interior.ravel()
             A = -solver._fv_laplacian(axes)[1][inner][:, inner]
             b = rng.standard_normal(A.shape[0])
-            x = solver._linear_solver(A, len(axes))(b)
+            x = solver._linear_solver(A, axes, interior)(b)
             assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _fv_system(geom, h, grading):
+    """The interior operator that ``solve_fd`` inverts, with its grid."""
+    axes = make_axes(geom.n, h, grading)
+    _, _, interior = solver._classify(geom, axes)
+    inner = interior.ravel()
+    return -solver._fv_laplacian(axes)[1][inner][:, inner], axes, interior
+
+
+def _parabola_phi(a):
+    def phi(x1, x2, z):
+        return phi_flat_1(x2 - a * x1**2, z)
+    return phi
+
+
+def _logged_solves(caplog):
+    """(iterations, relative residual) of each logged CG solve."""
+    found = [re.fullmatch(r"cg: (\d+) iterations, relative residual (\S+)", r.getMessage())
+             for r in caplog.records if r.name == "slitkit"]
+    return [(int(m[1]), float(m[2])) for m in found if m]
+
+
+class TestMultigrid:
+    def test_preconditioner_is_symmetric(self):
+        # pre-smoothing sweeps the axes ascending and post-smoothing
+        # descending, so the float32 cycle is symmetric up to rounding
+        A, axes, interior = _fv_system(flat_geometry(2), 1 / 16, GRADED)
+        mg = solver._Multigrid(A, axes, interior)
+        assert len(mg.unknowns) == 2
+        u, v = np.random.default_rng(1).standard_normal((2, A.shape[0]))
+        uMv, vMu = u @ mg(v), v @ mg(u)
+        assert abs(uMv - vMu) <= 1e-6 * abs(uMv)
+        assert u @ mg(u) > 0.0
+
+    def test_indefinite_line_block_raises(self):
+        # the line blocks of an SPD operator factor; of -A they cannot
+        A, axes, interior = _fv_system(flat_geometry(2), 1 / 16, GRADED)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            solver._Multigrid(-A, axes, interior)
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 24, 1 / 32])
+    @pytest.mark.parametrize("geom, phi", [
+        (parabola_geometry(0.25), _parabola_phi(0.25)),
+        (flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z))], ids=["curved", "flat"])
+    def test_cycle_counts(self, caplog, geom, phi, h):
+        # the grids of the benchmark's 3-D split solves
+        with caplog.at_level(logging.DEBUG, logger="slitkit"):
+            solve_fd(geom, phi, h=h, grading=GRADED, split=True)
+        cycles = [n for n, _ in _logged_solves(caplog)]
+        assert len(cycles) == 3 and max(cycles) <= 40
+
+    @pytest.mark.parametrize("h, most", [(1 / 24, 60), (1 / 32, 70)])
+    def test_power_three_grading_converges(self, caplog, h, most):
+        # the solve of `rates --geometry parabola:0.25 --n 2 --h 0.03125
+        # --grading-p 3`, which stalled at 2000 Jacobi-CG iterations; the
+        # stronger grading costs cycles (52 and 64 in the first solve)
+        with caplog.at_level(logging.DEBUG, logger="slitkit"):
+            solve_fd(parabola_geometry(0.25), _parabola_phi(0.25), h=h,
+                     grading={"type": "power", "p": 3.0}, split=True)
+        cycles = [n for n, _ in _logged_solves(caplog)]
+        assert len(cycles) == 3 and max(cycles) <= most
+
+    @pytest.mark.parametrize("h", [1 / 16, 0.07])
+    def test_matches_direct_solve(self, h):
+        # h = 0.07 has 29 x 29 x 14 intervals, so the odd counts coarsen
+        # to a last interval of one fine step
+        sol = solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=h,
+                       grading=GRADED)
+        u = sol.values.ravel()
+        inner = ~(sol.dirichlet_mask | sol.slit_mask).ravel()
+        _, L = solver._fv_laplacian(sol.axes)
+        L = L[inner]
+        direct = solver.spla.spsolve(-L[:, inner].tocsc(), L[:, ~inner] @ u[~inner])
+        assert np.abs(u[inner] - direct).max() <= 1e-8 * np.abs(u).max()
+
+    def test_three_dimensional_solve_calls_cg_and_splu(self, monkeypatch):
+        # the traced benchmark fails on a solver binding that sees no calls
+        splu = _counting_spla(monkeypatch, "splu")
+        cg = _counting_spla(monkeypatch, "cg")
+        solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 16,
+                 grading=GRADED)
+        assert len(cg) == 1 and len(splu) == 1 and splu[0][0] < cg[0][0]
+
+    def test_hierarchy_is_freed_on_return(self, monkeypatch):
+        # no reference cycle holds the hierarchy, so refcounting frees it
+        made = []
+
+        class Tracked(solver._Multigrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(solver, "_Multigrid", Tracked)
+        gc.disable()
+        try:
+            solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 16,
+                     grading=GRADED, split=True)
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+
+    def test_two_dimensional_cycle(self):
+        # solve_fd takes this path for 2-D systems above 150,000 unknowns
+        A, axes, interior = _fv_system(flat_geometry(1), 2**-7, GRADED)
+        mg = solver._Multigrid(A, axes, interior)
+        assert len(mg.unknowns) >= 3
+        b = np.random.default_rng(2).standard_normal(A.shape[0])
+        x, info = solver.spla.cg(A, b, rtol=1e-11, maxiter=40,
+                                 M=solver.spla.LinearOperator(A.shape, matvec=mg))
+        assert info == 0
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_solves_are_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="slitkit"):
+            solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 16,
+                     grading=GRADED, split=True)
+            solve_fd(flat_geometry(1), phi_flat_1, h=2**-5)
+        setups = [r.getMessage() for r in caplog.records
+                  if r.name == "slitkit" and r.getMessage().startswith("linear solver")]
+        assert len(setups) == 2
+        assert re.fullmatch(r"linear solver: multigrid-cg, unknowns per level \d+/\d+, "
+                            r"setup \d+\.\d{3} s", setups[0])
+        assert re.fullmatch(r"linear solver: splu, \d+ unknowns, setup \d+\.\d{3} s",
+                            setups[1])
+        solves = _logged_solves(caplog)
+        assert len(solves) == 3
+        assert all(1 <= n <= 40 and resid <= 1e-10 for n, resid in solves)
+
+
+class TestSplitSupport:
+    @pytest.mark.parametrize("geom, h", [(parabola_geometry(0.25), 1 / 16),
+                                         (flat_geometry(1), 2**-6)], ids=["curved", "flat"])
+    def test_support_only_evaluation_is_exact(self, monkeypatch, geom, h):
+        sol = solver.empty_solution(geom, h, GRADED)
+        fr = sol.node_frames()
+        sol.values = (fr["u0"] * (1.0 + 0.3 * fr["x"][:, 0])).reshape(sol.dims)
+        keys, coef = solver._fit_split_coefficients(sol, 0.05, 0.15)
+        S, lap_S = solver._split_field_and_laplacian(sol, keys, coef)
+        assert 0 < np.count_nonzero(S) < S.size
+        # the same routine on every node (the cutoff keeps its band)
+        monkeypatch.setattr(solver, "_CHI_B", np.inf)
+        S_all, lap_all = solver._split_field_and_laplacian(sol, keys, coef)
+        assert np.array_equal(S, S_all) and np.array_equal(lap_S, lap_all)
 
 
 class TestOneOperator:
