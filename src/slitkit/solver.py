@@ -10,9 +10,9 @@ Three backends:
   x_{n+1} >= 0 (even symmetry gives the Neumann plane for free), with
   optional singularity splitting that subtracts a fitted multiple of the
   edge profile so the remainder is smooth enough for second-order
-  stencils; a 2-D system of at most 150,000 unknowns is factored once,
-  every other one is solved by conjugate gradients preconditioned by a
-  line-smoothed geometric multigrid V-cycle (``_Multigrid``),
+  stencils; every system, 2-D or 3-D, is solved by conjugate gradients
+  preconditioned by a line-smoothed geometric multigrid V-cycle
+  (``_Multigrid``),
 * a Shortley-Weller disc solver used as an independent oracle by the
   free boundary pipeline.
 
@@ -313,15 +313,13 @@ def _fv_laplacian(axes: list):
     return vol, L
 
 
-_DIRECT_2D = 150_000    # 2-D systems up to this many unknowns are factored
 _COARSEST = 3_000       # coarsening stops at this many unknowns
 _CYCLE_BUDGET = 100     # CG iterations, one V-cycle each
 
 
 def _factor(A):
-    """Sparse LU with a symmetric ordering on A^T + A and no pivoting,
-    which keeps the factor small (5.8 M nonzeros against 10.4 M for the
-    default column ordering on the flat 2-D h = 1/256 grid)."""
+    """Sparse LU of the coarsest multigrid level, with a symmetric
+    ordering on A^T + A and no pivoting, which keeps the factor small."""
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
@@ -453,21 +451,16 @@ def _linear_solver(A, axes: list, interior: np.ndarray):
     """``solve(b, x0)`` for the SPD finite-volume system A x = b on the
     unknowns ``interior`` of the tensor grid ``axes``.
 
-    A 2-D system of at most 150,000 unknowns is factored once here
-    (``_factor``).  Every other system, where the fill-in of a factor is
-    prohibitive, is solved by conjugate gradients from x0 to rtol 1e-11,
-    preconditioned by one multigrid V-cycle per iteration
+    Every system, 2-D or 3-D, is solved by conjugate gradients from x0
+    to rtol 1e-11, preconditioned by one multigrid V-cycle per iteration
     (``_Multigrid``), in at most 100 iterations; NonConvergence with the
-    relative residual otherwise.  The backend, the unknowns per level and
+    relative residual otherwise.  A system of at most ``_COARSEST``
+    unknowns has no level above the coarsest, so its cycle is the float32
+    factor and CG ends in a few iterations.  The unknowns per level and
     the setup time, then each solve's iterations and final relative
     residual, are logged at DEBUG on the ``slitkit`` logger.
     """
     t0 = time.perf_counter()
-    if len(axes) == 2 and A.shape[0] <= _DIRECT_2D:
-        lu = _factor(A)
-        _LOG.debug("linear solver: splu, %d unknowns, setup %.3f s",
-                   A.shape[0], time.perf_counter() - t0)
-        return lambda b, x0=None: lu.solve(b)
     mg = _Multigrid(A, axes, interior)
     M = spla.LinearOperator(A.shape, matvec=mg, dtype=np.float64)
     _LOG.debug("linear solver: multigrid-cg, unknowns per level %s, setup %.3f s",
@@ -648,6 +641,10 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     L = L[inner]
     A, B = -L[:, inner], L[:, ~inner]
     del L  # the node-wide operator is not needed through the solves
+    if split:
+        # the fit reads the frames; built before the hierarchy, their
+        # peak does not stack on it
+        sol.node_frames()
     solve = _linear_solver(A, axes, interior)
 
     def run(dirichlet, rhs_field, x0=None):
@@ -747,10 +744,9 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8)
     arm point with a float.  Returns (tip coefficient a, callable
     solution samples) where a is the fitted coefficient of
     sqrt(distance to tip) along the edge direction.  The discretization
-    is the five-point stencil with an irregular arm to the circle, with
-    tip splitting.  The regular arm opposite a circle arm keeps
-    the weight 1/h^2, not Shortley-Weller's 2/((1 + alpha) h^2), so the
-    error next to the circle is first order in h.  The split right-hand
+    is the five-point stencil with tip splitting; along an axis that
+    meets the circle both arms take Shortley-Weller weights, so the
+    error next to the circle is second order in h.  The split right-hand
     side is linear in the fitted tip coefficient, so one sparse LU solve
     with two right-hand sides serves both the plain and the split system.
     """
@@ -776,38 +772,46 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8)
 
     # A approximates -Delta.  Unknowns lie strictly inside the circle, so
     # every neighbour index is in the box once the lower neighbour of a
-    # y = 0 node is reflected to y = h (even symmetry).  A neighbour on
-    # the slit (zero data) or an unknown one adds 1/h^2 to the diagonal,
-    # and an unknown one also -1/h^2 off it; an arm to the circle adds
-    # 2/(alpha (1 + alpha) h^2) and moves the circle data to the rhs.
+    # y = 0 node is reflected to y = h (even symmetry).  An arm ends at
+    # the neighbour (length 1) or, where that is outside, on the circle
+    # (length alpha < 1).  Along each axis the arm of length alpha_+- has
+    # Shortley-Weller's weight 2 / (alpha_+- (alpha_+ + alpha_-) h^2): it
+    # adds to the diagonal, and off it for an unknown neighbour; a slit
+    # neighbour has zero data, and circle data moves to the rhs.
     i, j = ii
     x, y = xs[i], ys[j]
-    w = 1.0 / h**2
-    diag = np.zeros(nun)
-    rows, cols = [np.arange(nun)], [np.arange(nun)]
-    arms = []   # per direction: unknowns, arm points, alpha (1 + alpha) h^2
+    arms = []   # per direction: its step, neighbours, circle-arm unknowns, arm lengths
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         nb = (i + di, np.abs(j + dj))
         k = np.nonzero(~inside[nb])[0]
         # arm to the circle: fractional length alpha*h, where the ray
         # meets x^2 + y^2 = 1
         xa, ya = x[k], y[k]
+        alpha = np.ones(nun)
         if di:
-            alpha = (np.sqrt(1.0 - ya**2) - di * xa) / h
+            alpha[k] = (np.sqrt(1.0 - ya**2) - di * xa) / h
         else:
-            alpha = (np.sqrt(1.0 - xa**2) - dj * ya) / h
-        alpha = np.maximum(alpha, 1e-6)
-        denom = alpha * (1.0 + alpha) * h**2
-        arms.append((k, xa + di * alpha * h, ya + dj * alpha * h, denom))
-        term = np.full(nun, w)
-        term[k] = 2.0 / denom
-        diag += term
+            alpha[k] = (np.sqrt(1.0 - xa**2) - dj * ya) / h
+        alpha[k] = np.maximum(alpha[k], 1e-6)
+        arms.append((di, dj, nb, k, alpha))
+    diag, b = np.zeros(nun), np.zeros(nun)
+    rows, cols, vals = [np.arange(nun)], [np.arange(nun)], []
+    for d, (di, dj, nb, k, alpha) in enumerate(arms):
+        # the opposite direction is d ^ 1
+        weight = 2.0 / (alpha * (alpha + arms[d ^ 1][-1]) * h**2)
+        diag += weight
         coupled = np.nonzero(idx[nb] >= 0)[0]
         rows.append(coupled)
         cols.append(idx[nb][coupled])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.concatenate([diag, np.full(len(rows) - nun, -w)])
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(nun, nun)).tocsc()
+        vals.append(-weight[coupled])
+        # the circle data at the arm points, moved to the right-hand side
+        xb, yb = x[k] + di * alpha[k] * h, y[k] + dj * alpha[k] * h
+        g = np.array([phi(math.atan2(q, p)) for p, q in zip(xb.tolist(), yb.tolist())],
+                     dtype=float)
+        b[k] += weight[k] * g
+    A = sparse.coo_matrix((np.concatenate([diag] + vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(nun, nun)).tocsc()
 
     def tip(uflat, r_lo, r_hi):
         """Coefficient of U0 in the fit uflat ~ U0 (c + c_d d + c_r r)."""
@@ -815,12 +819,6 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8)
         sel = (r >= r_lo) & (r <= r_hi) & (w0 > 0)
         return float(_lstsq_poly(1, 1, d[sel][:, None], r[sel], uflat[sel], scale=w0[sel])[1][0])
 
-    # the circle data at the arm points, moved to the right-hand side
-    b = np.zeros(nun)
-    for k, xb, yb, denom in arms:
-        g = np.array([phi(math.atan2(q, p)) for p, q in zip(xb.tolist(), yb.tolist())],
-                     dtype=float)
-        b[k] += 2.0 * g / denom
     # S = c S1 with S1 = chi U0 about the tip.  v = u_f - S solves
     # A v = b + c b_S1 with b_S1 = Delta S1, so v = u + c w for the
     # solutions u, w of the two columns.  S1 has no circle data to move:
@@ -833,8 +831,8 @@ def solve_disc_2d(gamma: float, phi: Callable[[float], float], h: float = 2**-8)
     with np.errstate(divide="ignore", invalid="ignore"):
         lap_S1 = u0g * (chi2 + 2.0 * chi1 / np.where(rgt > 0, rgt, 1.0))
     b_S1 = np.where(rgt == 0, 0.0, lap_S1)[ii]
-    # the grid-sized cutoff arrays are not needed through the solve
-    del chi, chi1, chi2, lap_S1
+    # the grid-sized cutoff and arm arrays are not needed through the solve
+    del chi, chi1, chi2, lap_S1, arms
     # A's pattern is symmetric, and a symmetric ordering keeps the factor small
     u, w_S1 = spla.spsolve(A, np.column_stack([b, b_S1]), permc_spec="MMD_AT_PLUS_A").T
     r_lo, r_hi = max(0.02, 6 * h), 0.08

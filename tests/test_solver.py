@@ -172,15 +172,16 @@ def _counting_spla(monkeypatch, name):
 
 
 class TestDirectSolve:
-    def test_split_solve_factors_once(self, monkeypatch):
-        # the unsplit solve and both remainder solves share one factor
+    def test_split_solve_builds_one_hierarchy(self, monkeypatch):
+        # the unsplit solve and both remainder solves share one hierarchy,
+        # so its coarsest level is factored once
         calls = _counting_spla(monkeypatch, "splu")
         solve_fd(flat_geometry(1), phi_flat_1, h=2**-5, split=True)
         assert len(calls) == 1
 
     def test_unpivoted_factor_solves_accurately(self):
-        # the symmetric ordering without pivoting on a uniform, a graded,
-        # a stretched and a masked grid
+        # the coarsest factor (symmetric ordering, no pivoting) under CG
+        # on a uniform, a graded, a stretched and a masked grid
         h = 2**-5
         g = flat_geometry(1)
         uniform = make_axes(1, h)
@@ -299,7 +300,7 @@ class TestMultigrid:
             gc.enable()
 
     def test_two_dimensional_cycle(self):
-        # solve_fd takes this path for 2-D systems above 150,000 unknowns
+        # the cycle alone on a graded 2-D grid, under scipy's own CG
         A, axes, interior = _fv_system(flat_geometry(1), 2**-7, GRADED)
         mg = solver._Multigrid(A, axes, interior)
         assert len(mg.unknowns) >= 3
@@ -319,11 +320,64 @@ class TestMultigrid:
         assert len(setups) == 2
         assert re.fullmatch(r"linear solver: multigrid-cg, unknowns per level \d+/\d+, "
                             r"setup \d+\.\d{3} s", setups[0])
-        assert re.fullmatch(r"linear solver: splu, \d+ unknowns, setup \d+\.\d{3} s",
-                            setups[1])
+        # the 2-D system has no level above the coarsest
+        assert re.fullmatch(r"linear solver: multigrid-cg, unknowns per level \d+, "
+                            r"setup \d+\.\d{3} s", setups[1])
         solves = _logged_solves(caplog)
-        assert len(solves) == 3
+        assert len(solves) == 4
         assert all(1 <= n <= 40 and resid <= 1e-10 for n, resid in solves)
+
+
+class TestSingleBackend:
+    # every FV system, 2-D ones included, is solved by multigrid-CG
+
+    @pytest.mark.parametrize("h", [2**-7, 2**-8])
+    def test_planar_ladder_cycle_counts(self, caplog, h):
+        # the benchmark's flat 2-D ladder grids (11, 8 and 7 or 8 cycles)
+        with caplog.at_level(logging.DEBUG, logger="slitkit"):
+            solve_fd(flat_geometry(1), phi_flat_1, h=h, split=True)
+        cycles = [n for n, _ in _logged_solves(caplog)]
+        assert len(cycles) == 3 and max(cycles) <= 15
+
+    def test_two_dimensional_solve_matches_direct_solve(self):
+        sol = solve_fd(flat_geometry(1), phi_flat_1, h=2**-8)
+        u = sol.values.ravel()
+        inner = ~(sol.dirichlet_mask | sol.slit_mask).ravel()
+        _, L = solver._fv_laplacian(sol.axes)
+        L = L[inner]
+        direct = solver.spla.spsolve(-L[:, inner].tocsc(), L[:, ~inner] @ u[~inner])
+        assert np.abs(u[inner] - direct).max() <= 1e-8 * np.abs(u).max()
+
+    def test_small_two_dimensional_solve_calls_cg_and_splu(self, monkeypatch):
+        # 1,603 unknowns build no level: the cycle is the coarsest factor,
+        # and the traced benchmark needs both bindings called
+        splu = _counting_spla(monkeypatch, "splu")
+        cg = _counting_spla(monkeypatch, "cg")
+        solve_fd(flat_geometry(1), phi_flat_1, h=2**-5)
+        assert len(cg) == 1 and len(splu) == 1 and splu[0] == cg[0]
+
+    @pytest.mark.parametrize("geom, h, phi", [
+        (flat_geometry(1), 2**-6, phi_flat_1),
+        (flat_geometry(2), 1 / 16, lambda x1, x2, z: phi_flat_1(x2, z))], ids=["2d", "3d"])
+    def test_frames_are_built_before_the_hierarchy(self, monkeypatch, geom, h, phi):
+        # the split fit needs the node frames; built before the hierarchy,
+        # the two do not peak together
+        order = []
+        frames, multigrid = solver._grid_frames, solver._Multigrid
+
+        def tracked_frames(*args):
+            order.append("frames")
+            return frames(*args)
+
+        class Tracked(multigrid):
+            def __init__(self, *args):
+                order.append("multigrid")
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "_grid_frames", tracked_frames)
+        monkeypatch.setattr(solver, "_Multigrid", Tracked)
+        solve_fd(geom, phi, h=h, grading=GRADED, split=True)
+        assert order == ["frames", "multigrid"]
 
 
 class TestSplitSupport:
@@ -346,7 +400,7 @@ class TestOneOperator:
     @pytest.mark.parametrize("n, h", [(1, 2**-6), (2, 1 / 24)])
     def test_barrier_operator_is_the_solve_operator(self, n, h):
         # the solve inverts the interior rows of the L that check_barrier
-        # applies (splu at n = 1, CG at n = 2): after an unsplit solve,
+        # applies (multigrid-CG at n = 1 and 2): after an unsplit solve,
         # L u vanishes on the interior to the solver's tolerance
         sol = solve_fd(flat_geometry(n), lambda *c: phi_flat_1(c[-2], c[-1]), h=h)
         u = sol.values.ravel()
@@ -366,9 +420,9 @@ def _disc_phi(t):
 
 
 class TestDiscOracle:
-    # split tip coefficients of the per-unknown assembly with bisected
-    # arms and two separate spsolves, at h = 2^-6
-    RECORDED = {-0.3: 0.8621755088279394, 0.0: 0.9954158199958812, 0.3: 1.1771285732927894}
+    # split tip coefficients at h = 2^-6 of the Shortley-Weller stencil
+    # with one two-column spsolve
+    RECORDED = {-0.3: 0.8618510521161171, 0.0: 0.9948763400157241, 0.3: 1.1762352367153717}
 
     @pytest.mark.parametrize("gamma", sorted(RECORDED))
     def test_matches_recorded_tips_with_one_spsolve(self, monkeypatch, gamma):
@@ -376,6 +430,19 @@ class TestDiscOracle:
         a, _ = solver.solve_disc_2d(gamma, _disc_phi, h=2**-6)
         assert a == pytest.approx(self.RECORDED[gamma], rel=1e-12, abs=0.0)
         assert len(calls) == 1
+
+    def test_second_order_next_to_the_circle(self):
+        # u = U0 at gamma = 0; the sup error on nodes within 2h of the
+        # circle falls at second order (1.1e-4, 1.3e-5, 2.6e-6)
+        errs = []
+        for h in (2**-5, 2**-6, 2**-7):
+            _, (xs, ys, U) = solver.solve_disc_2d(0.0, _disc_phi, h=h)
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            R = np.hypot(X, Y)
+            near = (R < 1.0) & (R >= 1.0 - 2 * h)
+            errs.append(np.abs(U - np.sqrt((X + R) / 2.0))[near].max())
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert orders.min() >= 1.8
 
     @pytest.mark.parametrize("gamma", [-1.0, 1.0, 1.2])
     def test_tip_outside_disc_rejected(self, gamma):
