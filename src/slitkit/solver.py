@@ -315,6 +315,7 @@ def _fv_laplacian(axes: list):
 
 _COARSEST = 3_000       # coarsening stops at this many unknowns
 _CYCLE_BUDGET = 100     # CG iterations, one V-cycle each
+_FIT_RTOL = 1e-6        # CG rtol of a solve that only feeds the split fit
 
 
 def _factor(A):
@@ -448,17 +449,19 @@ class _Multigrid:
 
 
 def _linear_solver(A, axes: list, interior: np.ndarray):
-    """``solve(b, x0)`` for the SPD finite-volume system A x = b on the
-    unknowns ``interior`` of the tensor grid ``axes``.
+    """``solve(b, x0, rtol)`` for the SPD finite-volume system A x = b on
+    the unknowns ``interior`` of the tensor grid ``axes``.
 
     Every system, 2-D or 3-D, is solved by conjugate gradients from x0
-    to rtol 1e-11, preconditioned by one multigrid V-cycle per iteration
-    (``_Multigrid``), in at most 100 iterations; NonConvergence with the
-    relative residual otherwise.  A system of at most ``_COARSEST``
-    unknowns has no level above the coarsest, so its cycle is the float32
-    factor and CG ends in a few iterations.  The unknowns per level and
-    the setup time, then each solve's iterations and final relative
-    residual, are logged at DEBUG on the ``slitkit`` logger.
+    to the relative residual ``rtol`` (default 1e-11, with the absolute
+    floor rtol * max(|b|, 1)), preconditioned by one multigrid V-cycle per
+    iteration (``_Multigrid``), in at most 100 iterations; NonConvergence
+    with the cycle count and relative residual otherwise.  A system of at
+    most ``_COARSEST`` unknowns has no level above the coarsest, so its
+    cycle is the float32 factor and CG ends in a few iterations.  The
+    unknowns per level and the setup time, then each solve's iterations,
+    rtol and final relative residual, are logged at DEBUG on the
+    ``slitkit`` logger.
     """
     t0 = time.perf_counter()
     mg = _Multigrid(A, axes, interior)
@@ -466,7 +469,7 @@ def _linear_solver(A, axes: list, interior: np.ndarray):
     _LOG.debug("linear solver: multigrid-cg, unknowns per level %s, setup %.3f s",
                "/".join(map(str, mg.unknowns)), time.perf_counter() - t0)
 
-    def solve(b, x0=None):
+    def solve(b, x0=None, rtol=1e-11):
         bnorm = np.linalg.norm(b)
         iterations = 0
 
@@ -474,13 +477,14 @@ def _linear_solver(A, axes: list, interior: np.ndarray):
             nonlocal iterations
             iterations += 1
 
-        x, info = spla.cg(A, b, rtol=1e-11, atol=1e-11 * max(bnorm, 1.0),
+        x, info = spla.cg(A, b, rtol=rtol, atol=rtol * max(bnorm, 1.0),
                           maxiter=_CYCLE_BUDGET, M=M, x0=x0, callback=count)
         resid = np.linalg.norm(b - A @ x) / max(bnorm, 1e-300)
-        _LOG.debug("cg: %d iterations, relative residual %.2e", iterations, resid)
+        _LOG.debug("cg: %d iterations, rtol %.0e, relative residual %.2e",
+                   iterations, rtol, resid)
         if info != 0:
-            raise NonConvergence(f"conjugate gradients stalled (info={info}, "
-                                 f"relative residual {resid:.2e})")
+            raise NonConvergence(f"conjugate gradients stalled after {iterations} cycles "
+                                 f"(info={info}, relative residual {resid:.2e})")
         return x
     return solve
 
@@ -622,6 +626,11 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     ``phi(x..., z)`` and ``raw_rhs(x..., z)`` take coordinate arrays.  With
     ``split=True`` a fitted multiple of the edge profile is subtracted
     and re-added, restoring near-second-order convergence.
+
+    The returned values come from a solve to rtol 1e-11: the one solve of
+    ``split=False``, the final remainder solve of ``split=True``.  The two
+    earlier solves of a split call only feed the fit of u/U0 and stop at
+    rtol ``_FIT_RTOL`` (1e-6).
     """
     sol = empty_solution(geom, h, grading)
     axes, dims, slit, outer = sol.axes, sol.dims, sol.slit_mask, sol.dirichlet_mask
@@ -647,13 +656,16 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
         sol.node_frames()
     solve = _linear_solver(A, axes, interior)
 
-    def run(dirichlet, rhs_field, x0=None):
+    def run(dirichlet, rhs_field, rtol, x0=None):
         out = dirichlet.copy()
-        out[interior] = solve(B @ dirichlet.ravel()[~inner] - (vol * rhs_field)[interior], x0=x0)
+        out[interior] = solve(B @ dirichlet.ravel()[~inner] - (vol * rhs_field)[interior],
+                              x0=x0, rtol=rtol)
         out[slit] = 0.0
         return out
 
-    sol.values = run(diri_vals, rhs)
+    # a solve that only feeds the split fit stops at _FIT_RTOL: the fit
+    # needs u to far less than 1e-11, and only the final solve is returned
+    sol.values = run(diri_vals, rhs, _FIT_RTOL if split else 1e-11)
     if not split:
         return sol
 
@@ -661,14 +673,14 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     # O(h^(1/2)) error, the second works from a much better solution
     r_lo = max(0.02, 6 * sol.local_h())
     r_hi = max(0.12, 2.5 * r_lo)
-    for _ in range(2):
+    for rtol in (_FIT_RTOL, 1e-11):
         keys, coef = _fit_split_coefficients(sol, r_lo, r_hi)
         S, lap_S = _split_field_and_laplacian(sol, keys, coef)
         S = S.reshape(dims)
         lap_S = lap_S.reshape(dims)
         v_diri = np.where(outer, diri_vals - S, 0.0)
         # the remainder v = u - S starts from the current u less the new S
-        v = run(v_diri, rhs - lap_S, (sol.values - S)[interior])
+        v = run(v_diri, rhs - lap_S, rtol, (sol.values - S)[interior])
         sol.values = v + S
         sol.values[slit] = 0.0
         sol.values[outer] = diri_vals[outer]

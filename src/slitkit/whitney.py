@@ -31,16 +31,24 @@ __all__ = [
 ]
 
 
-def _tensor_rule(n: int, nquad: int):
-    """Tensor Gauss-Legendre rule on [-1/2, 1/2]^n: the node coordinate
-    grids and the product weights."""
-    x, w = np.polynomial.legendre.leggauss(nquad)
+# Gauss nodes per axis of the one quadrature rule behind the moments, the
+# moment conditions and the extension: the extension then reproduces the
+# polynomials of the moment conditions to rounding, not to the rule's error
+_NQUAD = 80
+# defects at or below this are rounding, not a measurable approach
+_DEFECT_FLOOR = 1e-13
+
+
+def _tensor_rule(n: int):
+    """Tensor Gauss-Legendre rule on [-1/2, 1/2]^n with ``_NQUAD`` nodes
+    per axis: the node coordinate grids and the product weights."""
+    x, w = np.polynomial.legendre.leggauss(_NQUAD)
     u, w = 0.5 * x, 0.5 * w
     grids = np.meshgrid(*([u] * n), indexing="ij")
     ws = np.ones_like(grids[0])
     for i in range(n):
         shape = [1] * n
-        shape[i] = nquad
+        shape[i] = _NQUAD
         ws = ws * w.reshape(shape)
     return grids, ws
 
@@ -69,7 +77,7 @@ class Mollifier:
 
     def moments(self, max_order: int) -> dict:
         """All moments up to ``max_order`` by tensor Gauss quadrature."""
-        grids, ws = _tensor_rule(self.n, 120)
+        grids, ws = _tensor_rule(self.n)
         vals = self(*grids) * ws
         indices = sorted(mu for deg in range(max_order + 1)
                          for mu in _indices_of_degree(self.n, deg))
@@ -89,7 +97,7 @@ def build_mollifier(n: int, k: int) -> Mollifier:
         raise ValueError("order 0 <= k <= 4")
     basis = sorted(mu for deg in range(0, k + 3, 2) for mu in _indices_of_degree(n, deg)
                    if not any(e % 2 for e in mu))
-    grids, ws = _tensor_rule(n, 120)
+    grids, ws = _tensor_rule(n)
     bump = _bump(*grids) * ws
     G = np.array([[float((bump * _xpow(grids, a) * _xpow(grids, b)).sum())
                    for b in basis] for a in basis])
@@ -142,9 +150,11 @@ def whitney_extend(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     """E(Q) at in-plane sample points (distance to the edge > 0).
 
     Substituting y~ = x + d u reduces the kernel integral to a fixed
-    integral over B_{1/2}, evaluated by a tensor Gauss rule.  The bump
-    is flat-but-not-analytic at the support edge, so Gauss converges
-    root-exponentially: 80 nodes per axis reaches ~2e-9 relative.
+    integral over B_{1/2}, evaluated by the tensor Gauss rule on which
+    ``build_mollifier`` solved the moment conditions, so E reproduces the
+    polynomials of those conditions to rounding.  The bump is
+    flat-but-not-analytic at the support edge, so Gauss converges only
+    root-exponentially on the rest of the integrand.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != geom.n:
@@ -154,7 +164,7 @@ def whitney_extend(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     if np.any(dist <= 0.0):
         raise OutOfChart("extension point lies on the edge (d = 0)")
 
-    grids, ws = _tensor_rule(geom.n, 80)
+    grids, ws = _tensor_rule(geom.n)
     rho = (mol(*grids) * ws).ravel()
     offsets = np.stack([g.ravel() for g in grids], axis=1)
 
@@ -200,7 +210,7 @@ def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
             defects = np.abs(E[0] - Qy[0])
         else:
             defects = np.abs((E[1] - E[2]) / (2 * step) - (Qy[1] - Qy[2]) / (2 * step))
-        good = defects > 1e-13
+        good = defects > _DEFECT_FLOOR
         if good.sum() >= 2:
             A = np.vstack([np.log(approaches[good]), np.ones(int(good.sum()))]).T
             rate = float(np.linalg.lstsq(A, np.log(defects[good]), rcond=None)[0][0])

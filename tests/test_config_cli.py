@@ -130,6 +130,14 @@ class TestCLI:
         assert cli.main(["whitney", "--n", "1", "--output", str(tmp_path)]) == 0
         assert (tmp_path / "whitney" / "moments.csv").exists()
 
+    def test_whitney_second_order_on_parabola_passes(self, tmp_path):
+        # the k = 2 jet match: its defects fall at rate >= 3 once the
+        # extension's rule is the one its moment conditions were solved on
+        from slitkit import cli
+
+        args = ["whitney", "--n", "2", "--k", "2", "--geometry", "parabola:0.25"]
+        assert cli.main([*args, "--output", str(tmp_path)]) == 0
+
     def test_rates_default_rejected_before_solve(self, tmp_path, no_solve, capsys):
         # at h = 1/64 the 1/8 ball holds 53 sample nodes, fewer than the
         # rate report's 100, so the default config is refused unsolved;

@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slitkit import solver
 from slitkit.errors import NonConvergence, TruncationWarning
@@ -214,10 +216,11 @@ def _parabola_phi(a):
 
 
 def _logged_solves(caplog):
-    """(iterations, relative residual) of each logged CG solve."""
-    found = [re.fullmatch(r"cg: (\d+) iterations, relative residual (\S+)", r.getMessage())
+    """(iterations, rtol, relative residual) of each logged CG solve."""
+    found = [re.fullmatch(r"cg: (\d+) iterations, rtol (\S+), relative residual (\S+)",
+                          r.getMessage())
              for r in caplog.records if r.name == "slitkit"]
-    return [(int(m[1]), float(m[2])) for m in found if m]
+    return [(int(m[1]), float(m[2]), float(m[3])) for m in found if m]
 
 
 class TestMultigrid:
@@ -246,7 +249,7 @@ class TestMultigrid:
         # the grids of the benchmark's 3-D split solves
         with caplog.at_level(logging.DEBUG, logger="slitkit"):
             solve_fd(geom, phi, h=h, grading=GRADED, split=True)
-        cycles = [n for n, _ in _logged_solves(caplog)]
+        cycles = [n for n, *_ in _logged_solves(caplog)]
         assert len(cycles) == 3 and max(cycles) <= 40
 
     @pytest.mark.parametrize("h, most", [(1 / 24, 60), (1 / 32, 70)])
@@ -257,7 +260,7 @@ class TestMultigrid:
         with caplog.at_level(logging.DEBUG, logger="slitkit"):
             solve_fd(parabola_geometry(0.25), _parabola_phi(0.25), h=h,
                      grading={"type": "power", "p": 3.0}, split=True)
-        cycles = [n for n, _ in _logged_solves(caplog)]
+        cycles = [n for n, *_ in _logged_solves(caplog)]
         assert len(cycles) == 3 and max(cycles) <= most
 
     @pytest.mark.parametrize("h", [1 / 16, 0.07])
@@ -325,7 +328,12 @@ class TestMultigrid:
                             r"setup \d+\.\d{3} s", setups[1])
         solves = _logged_solves(caplog)
         assert len(solves) == 4
-        assert all(1 <= n <= 40 and resid <= 1e-10 for n, resid in solves)
+        # the split call's first two solves only feed its fit; its final
+        # solve and the unsplit call's one solve are returned
+        assert [rtol for _, rtol, _ in solves] == [1e-6, 1e-6, 1e-11, 1e-11]
+        limits = [1e-6, 1e-6, 1e-10, 1e-10]
+        assert all(1 <= n <= 40 and resid <= most
+                   for (n, _, resid), most in zip(solves, limits))
 
 
 class TestSingleBackend:
@@ -336,7 +344,7 @@ class TestSingleBackend:
         # the benchmark's flat 2-D ladder grids (11, 8 and 7 or 8 cycles)
         with caplog.at_level(logging.DEBUG, logger="slitkit"):
             solve_fd(flat_geometry(1), phi_flat_1, h=h, split=True)
-        cycles = [n for n, _ in _logged_solves(caplog)]
+        cycles = [n for n, *_ in _logged_solves(caplog)]
         assert len(cycles) == 3 and max(cycles) <= 15
 
     def test_two_dimensional_solve_matches_direct_solve(self):
@@ -378,6 +386,66 @@ class TestSingleBackend:
         monkeypatch.setattr(solver, "_Multigrid", Tracked)
         solve_fd(geom, phi, h=h, grading=GRADED, split=True)
         assert order == ["frames", "multigrid"]
+
+
+class TestFitTolerance:
+    # a split solve's unsplit and first remainder solves only feed the fit
+    # of u/U0, so they stop at rtol _FIT_RTOL; the final solve keeps 1e-11
+
+    @pytest.mark.parametrize("geom, phi, h, grading", [
+        (parabola_geometry(0.25), _parabola_phi(0.25), 1 / 24, GRADED),
+        (flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), 1 / 24, GRADED),
+        (flat_geometry(1), phi_flat_1, 2**-7, None)], ids=["curved", "flat-3d", "flat-2d"])
+    def test_final_values_match_tight_fit_solves(self, monkeypatch, geom, phi, h, grading):
+        u = solve_fd(geom, phi, h=h, grading=grading, split=True).values
+        monkeypatch.setattr(solver, "_FIT_RTOL", 1e-11)
+        tight = solve_fd(geom, phi, h=h, grading=grading, split=True).values
+        assert np.abs(u - tight).max() <= 2e-5 * np.abs(tight).max()
+
+    @pytest.mark.parametrize("geom, phi", [
+        (parabola_geometry(0.25), _parabola_phi(0.25)),
+        (flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z))], ids=["curved", "flat"])
+    def test_split_solve_cycle_total(self, caplog, geom, phi):
+        # the benchmark's 1/32 split solves: 53 and 49 cycles, against 85
+        # and 84 with every solve at rtol 1e-11
+        with caplog.at_level(logging.DEBUG, logger="slitkit"):
+            solve_fd(geom, phi, h=1 / 32, grading=GRADED, split=True)
+        solves = _logged_solves(caplog)
+        assert [rtol for _, rtol, _ in solves] == [1e-6, 1e-6, 1e-11]
+        assert sum(n for n, *_ in solves) <= 60
+
+
+def _quadratic(c):
+    """c0 + c1 x_1 + c2 x_n + c3 z + c4 x_1 z + c5 z^2 on coordinate arrays
+    (x..., z); x_1 is x_n when n = 1."""
+    def field(*X):
+        x1, xn, z = X[0], X[-2], X[-1]
+        return c[0] * np.ones_like(z) + c[1] * x1 + c[2] * xn + c[3] * z \
+            + c[4] * x1 * z + c[5] * z**2
+    return field
+
+
+_COEF = st.lists(st.integers(-4, 4).map(lambda c: c / 4), min_size=6, max_size=6)
+
+
+class TestLinearity:
+    @given(_COEF, _COEF, _COEF, _COEF, st.integers(-8, 8), st.integers(-8, 8))
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("geom, h, grading", [
+        (flat_geometry(1), 2**-5, None), (flat_geometry(2), 1 / 8, GRADED)], ids=["2d", "3d"])
+    def test_unsplit_solve_is_linear_in_data(self, geom, h, grading, p1, f1, p2, f2, a, b):
+        # u(phi, raw_rhs) of an unsplit solve is linear in the pair
+        alpha, beta = a / 4, b / 4
+
+        def solve(p, f):
+            return solve_fd(geom, _quadratic(p), h=h, grading=grading,
+                            raw_rhs=_quadratic(f)).values
+
+        u1, u2 = solve(p1, f1), solve(p2, f2)
+        mix = solve([alpha * x + beta * y for x, y in zip(p1, p2)],
+                    [alpha * x + beta * y for x, y in zip(f1, f2)])
+        scale = np.abs(alpha * u1).max() + np.abs(beta * u2).max()
+        assert np.abs(alpha * u1 + beta * u2 - mix).max() <= 1e-9 * scale
 
 
 class TestSplitSupport:
