@@ -263,9 +263,8 @@ def quotient(u: GridSolution, i: int) -> QuotientField:
     n = u.n
     if not (0 <= i < n):
         raise ValueError("component index out of range")
-    grads = np.gradient(u.values, *u.axes, edge_order=2)
-    u_i = grads[i]
-    u_n = grads[n - 1]
+    grads = {k: np.gradient(u.values, u.axes[k], axis=k, edge_order=2) for k in {i, n - 1}}
+    u_i, u_n = grads[i], grads[n - 1]
     fr = u.node_frames()
     r = fr["r"].reshape(u.values.shape)
     u0 = fr["u0"].reshape(u.values.shape)

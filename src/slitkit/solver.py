@@ -28,7 +28,6 @@ from ``xrpoly._xpow``, the float monomial routine ``whitney`` also uses.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 import time
@@ -243,25 +242,15 @@ def _grid_frames(geom: SlitGeometry, axes: list) -> dict:
 def _classify(geom: SlitGeometry, axes: list):
     """Node classification: slit mask, outer Dirichlet, interior."""
     n = len(axes) - 1
-    grids = np.meshgrid(*axes, indexing="ij")
-    R2 = sum(g**2 for g in grids)
-    outer = R2 >= 1.0
-
-    xn = grids[n - 1]
-    z = grids[n]
-    g_of = geom.g(grids[0])
+    grids = np.ix_(*axes)
+    outer = sum(g**2 for g in grids) >= 1.0
     # local x_n spacing for the half-cell mask shift
-    a_n = axes[n - 1]
-    dxn = np.empty_like(a_n)
-    dxn[:-1] = np.diff(a_n)
-    dxn[-1] = dxn[-2]
-    shape = [1] * (n + 1)
-    shape[n - 1] = len(a_n)
-    dxn = dxn.reshape(shape)
-    slit = (z == 0.0) & (xn <= g_of - dxn / 2.0) & ~outer
+    d = np.diff(axes[n - 1])
+    dxn = np.append(d, d[-1]).reshape(grids[n - 1].shape)
+    slit = (grids[n] == 0.0) & (grids[n - 1] <= geom.g(grids[0]) - dxn / 2.0) & ~outer
     if not slit.any():
         raise MaskDegenerate("slit mask is empty at this resolution")
-    if slit.all() or not (~slit & ~outer & (z == 0.0)).any():
+    if slit.all() or not (~slit & ~outer & (grids[n] == 0.0)).any():
         raise MaskDegenerate("slit mask fills the symmetry plane")
     interior = ~outer & ~slit
     return slit, outer, interior
@@ -318,38 +307,24 @@ _CYCLE_BUDGET = 100     # CG iterations, one V-cycle each
 _FIT_RTOL = 1e-6        # CG rtol of a solve that only feeds the split fit
 
 
-def _factor(A):
-    """Sparse LU of the coarsest multigrid level, with a symmetric
-    ordering on A^T + A and no pivoting, which keeps the factor small."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-
 def _prolongation(axes: list, idx: list, mask: np.ndarray, coarse_mask: np.ndarray):
     """Tensor-product linear interpolation in the graded coordinates from
     the unknowns ``coarse_mask`` of the coarse grid (the nodes ``idx``)
-    to the unknowns ``mask`` of the fine grid, as float32 CSR."""
-    fine = np.nonzero(mask)
-    rows = np.arange(len(fine[0]), dtype=np.int32)
-    weights = []
-    for a, i, f in zip(axes, idx, fine):
+    to the unknowns ``mask`` of the fine grid, as float32 CSR: the
+    Kronecker product of the per-axis 1-D interpolations, restricted to
+    those unknowns."""
+    factors = []
+    for a, i in zip(axes, idx):
         # each fine node lies in the coarse interval [lo, lo + 1]
         lo = np.minimum(np.searchsorted(i, np.arange(len(a)), side="right") - 1, len(i) - 2)
         hi = (a - a[i][lo]) / (a[i][lo + 1] - a[i][lo])
-        weights.append((lo[f], 1.0 - hi[f], hi[f]))
-    n_coarse = int(coarse_mask.sum())
-    number = np.full(coarse_mask.shape, -1, dtype=np.int32)
-    number[coarse_mask] = np.arange(n_coarse, dtype=np.int32)
-    r, c, v = [], [], []
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        w = functools.reduce(np.multiply, [ws[1 + k] for ws, k in zip(weights, corner)])
-        col = number[tuple(ws[0] + k for ws, k in zip(weights, corner))]
-        keep = (w != 0.0) & (col >= 0)
-        r.append(rows[keep])
-        c.append(col[keep])
-        v.append(w[keep].astype(np.float32))
-    return sparse.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                             shape=(len(rows), n_coarse))
+        P = sparse.csr_matrix((np.column_stack([1.0 - hi, hi]).ravel(),
+                               np.column_stack([lo, lo + 1]).ravel(),
+                               np.arange(0, 2 * len(a) + 1, 2)), shape=(len(a), len(i)))
+        P.eliminate_zeros()
+        factors.append(P)
+    P = functools.reduce(lambda p, q: sparse.kron(p, q, format="csr"), factors)
+    return P[np.flatnonzero(mask)][:, np.flatnonzero(coarse_mask)].astype(np.float32)
 
 
 class _Level:
@@ -432,7 +407,10 @@ class _Multigrid:
             A = -_fv_laplacian(coarse_axes)[1][keep][:, keep]
             axes, mask = coarse_axes, coarse_mask
         self.unknowns = [lv.A.shape[0] for lv in self.levels] + [A.shape[0]]
-        self.coarsest = _factor(A)
+        # sparse LU of the coarsest level, with a symmetric ordering on
+        # A^T + A and no pivoting, which keeps the factor small
+        self.coarsest = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def __call__(self, b):
         b = b.astype(np.float32)

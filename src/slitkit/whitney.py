@@ -17,6 +17,7 @@ evaluates E(Q) and Q o y at all of its sample points in one pass.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +45,7 @@ def _tensor_rule(n: int):
     per axis: the node coordinate grids and the product weights."""
     x, w = np.polynomial.legendre.leggauss(_NQUAD)
     u, w = 0.5 * x, 0.5 * w
-    grids = np.meshgrid(*([u] * n), indexing="ij")
-    ws = np.ones_like(grids[0])
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = _NQUAD
-        ws = ws * w.reshape(shape)
-    return grids, ws
+    return np.meshgrid(*[u] * n, indexing="ij"), functools.reduce(np.multiply, np.ix_(*[w] * n))
 
 
 def _bump(*ys) -> np.ndarray:

@@ -4,13 +4,17 @@
 traced run fails on a ``MUST_CALL`` binding that records no calls.  A
 renamed or removed function would break that run; this test makes the
 suite fail first.  It runs in a fresh interpreter because ``install``
-rebinds module attributes for the life of the process.
+rebinds module attributes for the life of the process.  The slow test
+runs each workload's task list once, traced, as the benchmark does.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +35,17 @@ def test_every_must_call_binding_is_wrapped():
     missing = json.loads(out.stdout.strip().splitlines()[-1])
     assert set(missing) == {"grid3d", "exact", "planar"}
     assert missing == {w: [] for w in missing}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["grid3d", "exact", "planar"])
+def test_traced_workload_passes(workload):
+    # a failed task or an uncalled binding fails the benchmark run
+    out = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "1",
+         "--mode", "traced"],
+        cwd=ROOT, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=600, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [t["task"] for t in result["tasks"] if not t["ok"]] == []
+    assert result["stale"] == []

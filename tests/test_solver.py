@@ -1,10 +1,13 @@
 """Series, finite-difference, barrier, and energy solver tests."""
+import functools
 import gc
+import itertools
 import logging
 import math
 import re
 import types
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from slitkit import solver
 from slitkit.errors import NonConvergence, TruncationWarning
-from slitkit.geometry import flat_geometry, parabola_geometry
+from slitkit.geometry import SlitGeometry, flat_geometry, parabola_geometry
 from slitkit.solver import (
     GridSolution,
     check_barrier,
@@ -334,6 +337,69 @@ class TestMultigrid:
         limits = [1e-6, 1e-6, 1e-10, 1e-10]
         assert all(1 <= n <= 40 and resid <= most
                    for (n, _, resid), most in zip(solves, limits))
+
+
+def _graded_axis(nodes, symmetric, p):
+    s = np.linspace(-1.0 if symmetric else 0.0, 1.0, nodes)
+    return np.sign(s) * np.abs(s) ** p
+
+
+_AXIS = st.tuples(st.integers(3, 12), st.booleans(), st.sampled_from([1.0, 2.0, 3.0]))
+
+
+def _classify_reference(geom, axes):
+    """The node rule written pointwise on full coordinate grids: the slit
+    is z = 0, x_n <= g(x_1) - dx_n / 2 and |X| < 1, where dx_n is the
+    step to the next x_n node (the last node repeats the last step)."""
+    n = len(axes) - 1
+    X = np.meshgrid(*axes, indexing="ij")
+    a_n = axes[n - 1]
+    j = np.minimum(np.arange(len(a_n)), len(a_n) - 2)
+    dxn = (a_n[j + 1] - a_n[j])[np.indices(X[0].shape)[n - 1]]
+    outer = sum(x**2 for x in X) >= 1.0
+    slit = (X[n] == 0.0) & (X[n - 1] <= geom.g(X[0]) - dxn / 2.0) & ~outer
+    return slit, outer, ~outer & ~slit
+
+
+class TestTensorGrid:
+    @given(st.lists(_AXIS, min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_prolongation_reproduces_multilinear(self, specs, seed):
+        # tensor-product linear interpolation is exact on f = prod_j
+        # (alpha_j + beta_j x_j) wherever all 2^d corners are unknowns
+        axes = [_graded_axis(*spec) for spec in specs]
+        idx = [np.unique(np.append(np.arange(0, len(a), 2), len(a) - 1)) for a in axes]
+        rng = np.random.default_rng(seed)
+        mask = rng.random(tuple(map(len, axes))) < 0.8
+        coarse_mask = mask[np.ix_(*idx)]
+        P = solver._prolongation(axes, idx, mask, coarse_mask)
+        assert P.shape == (mask.sum(), coarse_mask.sum())
+        assert np.asarray(P.sum(axis=1)).max(initial=0.0) <= 1.0 + 1e-6
+
+        alpha, beta = rng.uniform(-1.0, 1.0, (2, len(axes)))
+        f = functools.reduce(np.multiply, [a0 + b0 * x for a0, b0, x
+                                           in zip(alpha, beta, np.ix_(*axes))])
+        coarse = f[np.ix_(*idx)][coarse_mask]
+        # the coarse interval [lo, lo + 1] of each fine node, per axis
+        lo = [np.minimum(np.searchsorted(a[i], a, side="right") - 1, len(i) - 2)
+              for a, i in zip(axes, idx)]
+        covered = mask.copy()
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            covered &= coarse_mask[np.ix_(*[k + c for k, c in zip(lo, corner)])]
+        err = np.abs(P @ coarse - f[mask])[covered[mask]]
+        assert err.max(initial=0.0) <= 1e-6 * max(np.abs(f).max(), 1.0)
+
+    @pytest.mark.parametrize("h", [1 / 16, 0.07, 1 / 24])
+    @pytest.mark.parametrize("grading", [None, GRADED, {"type": "power", "p": 3.0}],
+                             ids=["uniform", "p2", "p3"])
+    @pytest.mark.parametrize("geom", [
+        flat_geometry(1), flat_geometry(2), parabola_geometry(0.25),
+        SlitGeometry(2, (0, 0, Fraction(3, 8), Fraction(3, 8)))],
+        ids=["flat1", "flat2", "parabola", "cubic"])
+    def test_classify_matches_pointwise_rule(self, geom, grading, h):
+        axes = make_axes(geom.n, h, grading)
+        for got, want in zip(solver._classify(geom, axes), _classify_reference(geom, axes)):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSingleBackend:
