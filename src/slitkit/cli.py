@@ -1,50 +1,40 @@
 """Command-line experiment runner.
 
-Every subcommand loads an ExperimentConfig (YAML file plus flag
-overrides), runs one experiment, writes CSV reports and a JSON manifest
-into the output directory, and exits nonzero iff its library check
-failed (``rates``: the report's ``pass`` column; ``freeboundary``: the
-root's series passing its truncation rule).  ``energy`` refuses any
-config but flat n = 1, the only one its reference value holds for.
-Boundary data is U0 of the configured edge, or cos(theta/2) for
-``freeboundary``.  CSV output is deterministic for a fixed config; the
-manifest carries the config hash, package versions, and wall time.  A
-run that raises removes the output directories it made while they are
-still empty, so a refusal inside a runner leaves nothing behind.
+Every subcommand builds one ExperimentConfig (YAML file, then flags by
+name), runs one experiment and writes CSV reports and a JSON manifest
+into the output directory.  Exit 0 on pass, 1 on a failed library check
+(``rates``: the report's ``pass`` column; ``freeboundary``: the root's
+series passing its truncation rule), 2 on bad input, 3 on a runtime
+error; ``energy`` refuses any config but flat n = 1.  Boundary data is U0
+of the configured edge, or cos(theta/2) for ``freeboundary``.  CSV output is
+deterministic for a fixed config and BLAS thread count; the manifest
+carries the config and its hash, package, NumPy and SciPy versions, CPU
+count, BLAS thread variables and wall time.  A refused run removes the
+output directories it made while they are still empty.
 
 Output root: --output, else $SLITKIT_OUTPUT_ROOT, else ./slitkit_out.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigInvalid, SlitkitError
-
-
-def _geometry(cfg: ExperimentConfig):
-    from .geometry import flat_geometry, parabola_geometry
-
-    if cfg.geometry == "flat":
-        return flat_geometry(cfg.n)
-    return parabola_geometry(Fraction(cfg.geometry.split(":", 1)[1]))
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+from .errors import ConfigInvalid, InsufficientResolution, SlitkitError
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header] + [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
+    """str and int cells as ``str``, others as ``repr(float(c))``: no NumPy reprs."""
+    lines = [header] + [",".join(str(c) if isinstance(c, (str, int)) else repr(float(c))
                                  for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
@@ -57,25 +47,25 @@ def _solve_fd(cfg):
     """solve_fd with U0 of the configured edge as boundary data."""
     from .solver import solve_fd
 
-    geom = _geometry(cfg)
+    geom = cfg.slit_geometry()
 
     def phi(*X):
         d = X[-2] - geom.g(X[0])
         return np.sqrt((d + np.hypot(d, X[-1])) / 2.0)
 
-    return solve_fd(geom, phi, h=cfg.h, grading=_grading(cfg), split=cfg.split)
+    return solve_fd(geom, phi, h=cfg.h, grading=_grading(cfg), split=True)
 
 
 def _solve(cfg, outdir):
     sol = _solve_fd(cfg)
-    sol.save_csv(outdir / "solution.csv")
+    grading = f"power:{cfg.grading_p}" if cfg.grading_p else "uniform"
+    with open(outdir / "solution.csv", "w") as fh:
+        fh.write(f"n={cfg.n},h={cfg.h!r},dims={'x'.join(map(str, sol.dims))},grading={grading}\n")
+        np.savetxt(fh, sol.values.reshape(-1, sol.dims[-1]), delimiter=",", fmt="%.17g")
     fr = sol.node_frames()
     _write_csv(outdir / "summary.csv", "stat,value", [
-        ("nodes", sol.values.size),
-        ("max", float(sol.values.max())),
-        ("min", float(sol.values.min())),
-        ("sup_over_u0", float(np.nanmax(np.abs(sol.values.ravel())
-                                        / np.maximum(fr["u0"], 1e-12)))),
+        ("nodes", sol.values.size), ("max", sol.values.max()), ("min", sol.values.min()),
+        ("sup_over_u0", np.nanmax(np.abs(sol.values.ravel()) / np.maximum(fr["u0"], 1e-12))),
     ])
     return True
 
@@ -90,23 +80,22 @@ def _expand_fit(cfg):
 
 def _expand(cfg, outdir):
     _, P0 = _expand_fit(cfg)
-    rows = [("+".join(f"x{i+1}^{e}" for i, e in enumerate(mu) if e) or "1", m, _fmt(v))
+    rows = [("+".join(f"x{i+1}^{e}" for i, e in enumerate(mu) if e) or "1", m, v)
             for (mu, m), v in P0.items()]
     _write_csv(outdir / "tangent.csv", "x_part,r_power,coefficient", rows)
     return True
 
 
 def _rates(cfg, outdir):
-    from .errors import InsufficientResolution
     from .expansion import rate_report
     from .solver import empty_solution
     from .xrpoly import XRPolynomial
 
-    geom = _geometry(cfg)
+    geom = cfg.slit_geometry()
 
     def report(sol, P0):
         return rate_report(sol, P0, np.zeros(geom.n), cfg.scales, target=cfg.target,
-                           mode="ball", min_cos=cfg.min_cos)
+                           mode="ball", min_cos=0.5)
 
     # the report's node guard reads only the grid: scales too fine for h
     # are a config error, found on the unsolved grid
@@ -115,7 +104,12 @@ def _rates(cfg, outdir):
     except InsufficientResolution as exc:
         raise ConfigInvalid("scales", f"{exc} at h = {cfg.h!r}") from exc
     rep = report(*_expand_fit(cfg))
-    (outdir / "rates.csv").write_text(rep.to_csv())
+    _write_csv(outdir / "rates.csv", "scale,sup_error", [
+        *zip(rep.scales, rep.errors),
+        ("fitted_exponent", "target", "residual", "pass"),
+        # a YAML integer target still writes as a float; pass as True/False
+        (rep.exponent, float(rep.target), rep.residual, str(rep.passed)),
+    ])
     return rep.passed
 
 
@@ -126,17 +120,16 @@ def _whitney(cfg, outdir):
     mol = build_mollifier(cfg.n, cfg.k)
     moments = mol.moments(cfg.k + 2)
     _write_csv(outdir / "moments.csv", "multi_index,moment",
-               [("|".join(map(str, mu)), _fmt(v)) for mu, v in sorted(moments.items())])
+               [("|".join(map(str, mu)), v) for mu, v in sorted(moments.items())])
     bad = max(abs(v) for mu, v in moments.items() if sum(mu) > 0)
     mass_err = abs(moments[tuple([0] * mol.n)] - 1.0)
     ok = bad <= 1e-12 and mass_err <= 1e-12
     if cfg.n == 2:
-        geo = _geometry(cfg) if cfg.geometry != "flat" else parabola_geometry(0.25)
+        geo = cfg.slit_geometry() if cfg.geometry != "flat" else parabola_geometry(0.25)
         rows = verify_jet_match(mol, YPolynomial(2, {(2, 0): 1.0}), geo,
                                 Z=np.zeros(2), orders=(0, 1))
         _write_csv(outdir / "jet_defects.csv", "order,defect,approach_rate",
-                   [(r["order"], _fmt(r["defects"][-1]), _fmt(r["approach_rate"]))
-                    for r in rows])
+                   [(r["order"], r["defects"][-1], r["approach_rate"]) for r in rows])
         ok = ok and all(r["approach_rate"] >= cfg.k + 1 for r in rows)
     return ok
 
@@ -169,14 +162,10 @@ def _freeboundary(cfg, outdir):
                       G=lambda g: cfg.G * np.ones_like(np.asarray(g, dtype=float)),
                       bracket=tuple(cfg.bracket))
     res = solve_free_boundary(prob)
-    _write_csv(outdir / "freeboundary.csv", "quantity,value", [
-        ("gamma_star", _fmt(res.gamma)),
-        ("a", _fmt(res.a)),
-        ("residual", _fmt(res.residual)),
-    ])
+    _write_csv(outdir / "freeboundary.csv", "quantity,value",
+               [("gamma_star", res.gamma), ("a", res.a), ("residual", res.residual)])
     _write_csv(outdir / "tip_series.csv", "order,coefficient",
-               [(_fmt(q), _fmt(c)) for q, c in
-                zip(res.series.orders, res.series.coefficients)])
+               zip(res.series.orders, res.series.coefficients))
     # the solver only returns roots with residual below 1e-9, so the
     # check is the root's own series passing its truncation rule
     return res.series.resolved
@@ -185,11 +174,10 @@ def _freeboundary(cfg, outdir):
 def _barrier(cfg, outdir):
     from .solver import check_barrier
 
-    geom = _geometry(cfg)
+    geom = cfg.slit_geometry()
     b1 = check_barrier(geom, h=cfg.h)
     b2 = check_barrier(geom, h=cfg.h / 2)
-    _write_csv(outdir / "barrier.csv", "h,min_r_laplacian",
-               [(_fmt(cfg.h), _fmt(b1)), (_fmt(cfg.h / 2), _fmt(b2))])
+    _write_csv(outdir / "barrier.csv", "h,min_r_laplacian", [(cfg.h, b1), (cfg.h / 2, b2)])
     return b1 > 0 and b2 > 0 and abs(b2 - b1) <= 0.1 * abs(b1)
 
 
@@ -206,8 +194,7 @@ def _energy(cfg, outdir):
     sol.values = sol.node_frames()["u0"].reshape(sol.dims)
     e = compute_energy(sol)
     _write_csv(outdir / "energy.csv", "quantity,value", [
-        ("energy", _fmt(e)), ("reference", _fmt(np.pi)),
-        ("relative_error", _fmt(abs(e - np.pi) / np.pi)),
+        ("energy", e), ("reference", np.pi), ("relative_error", abs(e - np.pi) / np.pi),
     ])
     return abs(e - np.pi) / np.pi <= 0.01
 
@@ -241,11 +228,22 @@ def run(cfg: ExperimentConfig) -> int:
         "config": json.loads(json.dumps(cfg.__dict__, default=float)),
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": {v: os.environ.get(v) for v in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "wall_time_s": round(time.time() - t0, 3),
         "passed": bool(ok),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return 0 if ok else 1
+
+
+def _floats(text: str) -> list:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigInvalid("bracket", f"not a list of numbers: {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -262,25 +260,17 @@ def main(argv=None) -> int:
         p.add_argument("--grading-p", dest="grading_p", type=float, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--G", type=float, default=None)
-        p.add_argument("--bracket", type=str, default=None, help="lo,hi")
-        p.add_argument("--output", type=str, default=None)
-    args = parser.parse_args(argv)
-
+        p.add_argument("--bracket", type=_floats, default=None, help="lo,hi")
+        p.add_argument("--output", dest="output_dir", type=str, default=None)
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_yaml(Path(args.config).read_text())
-            cfg.kind = args.kind
-        else:
-            cfg = ExperimentConfig(kind=args.kind)
-        overrides = {k: v for k, v in vars(args).items()
-                     if k not in ("kind", "config", "output", "bracket") and v is not None}
-        if args.bracket:
-            overrides["bracket"] = [float(s) for s in args.bracket.split(",")]
-        if args.output:
-            overrides["output_dir"] = args.output
-        if overrides:
-            cfg = ExperimentConfig(**{**cfg.__dict__, **overrides, "kind": args.kind})
-        return run(cfg)
+        # --bracket's type raises ConfigInvalid, which argparse lets through
+        flags = {k: v for k, v in vars(parser.parse_args(argv)).items() if v is not None}
+        config = flags.pop("config", None)
+        try:
+            text = Path(config).read_text() if config else ""
+        except OSError as exc:
+            raise ConfigInvalid("config", str(exc)) from exc
+        return run(dataclasses.replace(ExperimentConfig.from_yaml(text), **flags))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

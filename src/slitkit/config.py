@@ -1,10 +1,12 @@
 """Experiment configuration: YAML-backed, schema-versioned, hashable.
 
-Every CLI subcommand is driven by an ExperimentConfig.  Its fields are
-the checks' inputs; pass rules stay in the library (``rates`` passes on
-``RateReport.passed``), and ``scales`` needs that report's minimum of 4
-strictly decreasing values.  Configs round-trip through serialization
-unchanged and hash stably for the run manifest.
+Every CLI subcommand is driven by an ExperimentConfig (schema 5, 12
+fields), the one parser of a run.  Pass rules stay in the library
+(``rates`` passes on ``RateReport.passed``); every field is checked
+before a run starts: ``scales`` against that report's minimum of 4
+strictly decreasing values, ``bracket`` and ``G`` against
+``TipProblem``'s rules, ``geometry`` by ``slit_geometry``.  Configs
+round-trip through serialization unchanged and hash stably.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from fractions import Fraction
 import yaml
 
 from .errors import ConfigInvalid
+from .geometry import SlitGeometry, flat_geometry, parabola_geometry
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _KINDS = ("solve", "expand", "rates", "whitney", "neumann", "freeboundary",
           "barrier", "energy")
@@ -31,11 +34,9 @@ class ExperimentConfig:
     n: int = 1
     h: float = 2.0**-6
     grading_p: float = 0.0          # 0 disables grading
-    split: bool = True
     k: int = 0
     scales: list = field(default_factory=lambda: [2.0**-j for j in range(1, 6)])
     target: float = 1.5
-    min_cos: float = 0.5
     bracket: list = field(default_factory=lambda: [-0.9, 0.9])
     G: float = 1.0
     output_dir: str = ""
@@ -53,32 +54,44 @@ class ExperimentConfig:
             raise ConfigInvalid("k", f"out of range [0, 4]: {self.k}")
         if len(self.scales) < 4 or not all(a > b for a, b in zip(self.scales, self.scales[1:])):
             raise ConfigInvalid("scales", f"need at least 4 strictly decreasing, got {self.scales}")
-        if self.geometry != "flat":
-            kind, _, a = str(self.geometry).partition(":")
-            try:
-                float(Fraction(a))
-            except (ValueError, OverflowError):
-                kind = None
-            if kind != "parabola":
-                raise ConfigInvalid("geometry", f"unrecognized descriptor {self.geometry!r}")
-            if self.n != 2:
-                raise ConfigInvalid("geometry", f"a curved edge needs n = 2, got n = {self.n}")
+        b = self.bracket
+        if not (isinstance(b, (list, tuple)) and len(b) == 2
+                and all(isinstance(x, (int, float)) for x in b) and -1 < b[0] < b[1] < 1):
+            raise ConfigInvalid("bracket", f"need [lo, hi] with -1 < lo < hi < 1, got {b!r}")
+        if not (isinstance(self.G, (int, float)) and self.G > 0):
+            raise ConfigInvalid("G", f"must be a number > 0, got {self.G!r}")
+        self.slit_geometry()
+
+    def slit_geometry(self) -> SlitGeometry:
+        """``flat_geometry(n)``, or ``parabola_geometry(Fraction(a))`` for parabola:<a>."""
+        if self.geometry == "flat":
+            return flat_geometry(self.n)
+        kind, _, a = str(self.geometry).partition(":")
+        try:
+            float(Fraction(a))
+        except (ValueError, OverflowError):
+            kind = None
+        if kind != "parabola":
+            raise ConfigInvalid("geometry", f"unrecognized descriptor {self.geometry!r}")
+        if self.n != 2:
+            raise ConfigInvalid("geometry", f"a curved edge needs n = 2, got n = {self.n}")
+        return parabola_geometry(Fraction(a))
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(asdict(self), sort_keys=True)
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":
-        data = yaml.safe_load(text) or {}
-        if not isinstance(data, dict):
-            raise ConfigInvalid("root", "config root must be a mapping")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigInvalid("fields", f"unknown fields: {sorted(unknown)}")
         try:
+            data = yaml.safe_load(text) or {}
+            if not isinstance(data, dict):
+                raise ConfigInvalid("root", "config root must be a mapping")
+            unknown = set(data) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ConfigInvalid("fields", f"unknown fields: {sorted(unknown)}")
             return cls(**data)
-        except TypeError as exc:
-            raise ConfigInvalid("fields", str(exc)) from exc
+        except (yaml.YAMLError, TypeError) as exc:
+            raise ConfigInvalid("yaml", str(exc)) from exc
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)

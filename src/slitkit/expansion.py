@@ -52,17 +52,6 @@ class RateReport:
     def passed(self) -> bool:
         return self.exact or (self.exponent >= self.target - 0.2 and self.residual <= 0.3)
 
-    def to_csv(self) -> str:
-        def fmt(*values):
-            return ",".join(repr(float(v)) for v in values)
-
-        lines = ["scale,sup_error"]
-        for s, e in zip(self.scales, self.errors):
-            lines.append(fmt(s, e))
-        lines.append("fitted_exponent,target,residual,pass")
-        lines.append(f"{fmt(self.exponent, self.target, self.residual)},{self.passed}")
-        return "\n".join(lines) + "\n"
-
 
 def _fit_loglog(scales, errors):
     """(exponent, RMS residual, exact flag) of log e vs log lambda."""

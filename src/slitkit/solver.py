@@ -181,7 +181,6 @@ class GridSolution:
     slit_mask: np.ndarray
     dirichlet_mask: np.ndarray
     h: float
-    grading: dict | None = None
     frames: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -210,13 +209,6 @@ class GridSolution:
                 steps.append((a[i0 + 4] - a[i0]) / 4.0)
         return float(max(steps))
 
-    def save_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            grading = "uniform" if not self.grading else f"power:{self.grading['p']}"
-            dims = "x".join(str(d) for d in self.dims)
-            fh.write(f"n={self.n},h={self.h!r},dims={dims},grading={grading}\n")
-            np.savetxt(fh, self.values.reshape(-1, self.dims[-1]), delimiter=",", fmt="%.17g")
-
 
 def empty_solution(geom: SlitGeometry, h: float,
                    grading: dict | None = None) -> GridSolution:
@@ -225,7 +217,7 @@ def empty_solution(geom: SlitGeometry, h: float,
     axes = make_axes(geom.n, h, grading)
     slit, outer, _ = _classify(geom, axes)
     return GridSolution(geom=geom, axes=axes, values=np.zeros(tuple(len(a) for a in axes)),
-                        slit_mask=slit, dirichlet_mask=outer, h=h, grading=grading)
+                        slit_mask=slit, dirichlet_mask=outer, h=h)
 
 
 def _grid_frames(geom: SlitGeometry, axes: list) -> dict:

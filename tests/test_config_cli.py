@@ -1,13 +1,16 @@
 """Tests for the experiment config and the command-line runner."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+import scipy
 
-from slitkit import ConfigInvalid, ExperimentConfig
+from slitkit import ConfigInvalid, ExperimentConfig, RateReport
 
 
 class TestConfig:
@@ -34,7 +37,8 @@ class TestConfig:
 
     def test_removed_fields_rejected(self):
         for field in ("tolerance: 1.0e-8", "seed: 0", "phi: cos-half", "min_exponent: 1.3",
-                      "residual_limit: 0.3", "series_terms: 128"):
+                      "residual_limit: 0.3", "series_terms: 128", "split: false",
+                      "min_cos: 0.5"):
             name = field.split(":")[0]
             with pytest.raises(ConfigInvalid, match=rf"unknown fields: \['{name}'\]"):
                 ExperimentConfig.from_yaml(f"kind: solve\n{field}\n")
@@ -202,6 +206,59 @@ class TestCLI:
         assert "config error: geometry" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--config", "missing.yaml"],
+        ["solve", "--config", "unclosed.yaml"],
+        ["freeboundary", "--bracket=a,b"],
+        ["freeboundary", "--bracket=0.5"],
+        ["freeboundary", "--bracket=-0.5,1.5"],
+        ["freeboundary", "--G", "-1"],
+    ])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, args):
+        # exit 1 means a failed check: bad input is exit 2, with no traceback
+        from slitkit import cli
+
+        (tmp_path / "unclosed.yaml").write_text("scales: [0.5\n")
+        args = [str(tmp_path / a) if a.endswith(".yaml") else a for a in args]
+        out = tmp_path / "out"
+        assert cli.main([*args, "--output", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", None])
+    def test_manifest_records_thread_settings(self, tmp_path, monkeypatch, threads):
+        from slitkit import cli
+
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert cli.main(["neumann", "--k", "0", "--output", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "neumann" / "manifest.json").read_text())
+        assert manifest["threads"] == {v: os.environ.get(v) for v in
+                                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+        assert manifest["threads"]["OPENBLAS_NUM_THREADS"] == threads
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["numpy_version"] == np.__version__
+
+    def test_solve_csv_roundtrip(self, tmp_path):
+        from slitkit import cli, flat_geometry, solve_fd
+
+        def phi(x, z):
+            return np.sqrt((x + np.hypot(x, z)) / 2.0)
+
+        assert cli.main(["solve", "--n", "1", "--h", "0.03125", "--output", str(tmp_path)]) == 0
+        path = tmp_path / "solve" / "solution.csv"
+        sol = solve_fd(flat_geometry(1), phi, h=2**-5, split=True)
+        with open(path) as fh:
+            header = fh.readline().strip()
+        dims = "x".join(map(str, sol.dims))
+        assert header == f"n=1,h=0.03125,dims={dims},grading=uniform"
+        back = np.loadtxt(path, delimiter=",", skiprows=1).reshape(sol.dims)
+        assert np.array_equal(back, sol.values)
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfgfile = tmp_path / "bad.yaml"
         cfgfile.write_text("kind: solve\nbogus: 3\n")
@@ -215,3 +272,51 @@ class TestCLI:
         f1 = tmp_path / "a" / "neumann" / "constant_T.csv"
         f2 = tmp_path / "b" / "neumann" / "constant_T.csv"
         assert f1.read_text() == f2.read_text()
+
+
+def rate_report_of(errors, **kw):
+    return RateReport(scales=np.array([2.0**-j for j in range(1, 6)]),
+                      errors=np.asarray(errors), exponent=kw.pop("exponent", 1.0),
+                      residual=kw.pop("residual", 0.0), target=kw.pop("target", 1.0), **kw)
+
+
+def rates_csv(tmp_path, monkeypatch, rep) -> str:
+    """rates.csv as the ``rates`` runner writes it for the report ``rep``."""
+    from slitkit import cli, expansion
+
+    monkeypatch.setattr(expansion, "rate_report", lambda *args, **kwargs: rep)
+    monkeypatch.setattr(cli, "_expand_fit", lambda cfg: (None, None))
+    assert cli._rates(ExperimentConfig(kind="rates"), tmp_path) == rep.passed
+    return (tmp_path / "rates.csv").read_text()
+
+
+class TestCSV:
+    def test_cells_format_by_type(self, tmp_path):
+        from slitkit import cli
+
+        cli._write_csv(tmp_path / "t.csv", "a,b,c,d,e",
+                       [("x", 3, np.float64(0.1), np.float32(0.5), float("inf"))])
+        assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\nx,3,0.1,0.5,inf\n"
+
+    def test_rates_csv_roundtrip_fields(self, tmp_path, monkeypatch):
+        rep = rate_report_of([0.1, 0.05, 0.025, 0.0125, 0.00625], exponent=1.0)
+        txt = rates_csv(tmp_path, monkeypatch, rep)
+        assert txt.startswith("scale,sup_error")
+        assert "fitted_exponent" in txt
+        assert txt.strip().endswith("True")
+
+    def test_rates_csv_values_parse_as_floats(self, tmp_path, monkeypatch):
+        # numpy scalars must not leak their repr (np.float64(...)) into the
+        # file, and a numpy bool pass flag writes True, not 1.0
+        rep = rate_report_of(np.array([0.1, 0.05, 0.025, 0.0125, 0.00625]),
+                             exponent=np.float64(1.0), residual=np.float64(0.01))
+        assert isinstance(rep.passed, np.bool_)
+        txt = rates_csv(tmp_path, monkeypatch, rep)
+        assert "np." not in txt
+        rows = [line.split(",") for line in txt.splitlines()]
+        assert rows[0] == ["scale", "sup_error"] and rows[-2][-1] == "pass"
+        assert rows[-1][-1] == "True"
+        cells = [c for row in rows[1:-2] for c in row] + rows[-1][:3]
+        assert len(cells) == 13
+        for c in cells:
+            float(c)

@@ -59,24 +59,6 @@ class TestRateReport:
         assert not self._mk(e, exponent=1.0, residual=0.5).passed
         assert self._mk(e, exponent=0.0, exact=True).passed  # exact decay wins
 
-    def test_csv_roundtrip_fields(self):
-        rep = self._mk([0.1, 0.05, 0.025, 0.0125, 0.00625], exponent=1.0)
-        txt = rep.to_csv()
-        assert txt.startswith("scale,sup_error")
-        assert "fitted_exponent" in txt
-        assert txt.strip().endswith("True")
-
-    def test_csv_values_parse_as_floats(self):
-        # numpy scalars must not leak their repr (np.float64(...)) into the file
-        rep = self._mk(np.array([0.1, 0.05, 0.025, 0.0125, 0.00625]),
-                       exponent=np.float64(1.0), residual=np.float64(0.01))
-        rows = [line.split(",") for line in rep.to_csv().splitlines()]
-        assert rows[0] == ["scale", "sup_error"] and rows[-2][-1] == "pass"
-        cells = [c for row in rows[1:-2] for c in row] + rows[-1][:3]
-        assert len(cells) == 13
-        for c in cells:
-            float(c)
-
 
 class TestSeriesRates:
     """The half-angle series fields U0 = Re z^{1/2} and

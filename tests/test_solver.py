@@ -122,17 +122,6 @@ class TestFlatOracle:
         sol = solve_fd(g, lambda x, z: np.zeros_like(x), h=2**-5)
         assert np.abs(sol.values).max() == 0.0
 
-    def test_csv_roundtrip(self, sols, tmp_path):
-        sol = sols[2**-5]
-        path = tmp_path / "sol.csv"
-        sol.save_csv(path)
-        with open(path) as fh:
-            header = fh.readline().strip()
-        dims = "x".join(map(str, sol.dims))
-        assert header == f"n=1,h=0.03125,dims={dims},grading=uniform"
-        back = np.loadtxt(path, delimiter=",", skiprows=1).reshape(sol.dims)
-        assert np.array_equal(back, sol.values)
-
 
 class TestGrids:
     def test_graded_axes_cluster_at_planes(self):
