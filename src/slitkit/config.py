@@ -3,10 +3,11 @@
 Every CLI subcommand is driven by an ExperimentConfig (schema 5, 12
 fields), the one parser of a run.  Pass rules stay in the library
 (``rates`` passes on ``RateReport.passed``); every field is checked
-before a run starts: ``scales`` against that report's minimum of 4
-strictly decreasing values, ``bracket`` and ``G`` against
-``TipProblem``'s rules, ``geometry`` by ``slit_geometry``.  Configs
-round-trip through serialization unchanged and hash stably.
+before a run starts: ``n`` and ``k`` as ints (not bools), ``scales``
+against that report's minimum of 4 strictly decreasing values,
+``bracket`` and ``G`` against ``TipProblem``'s rules, ``geometry`` by
+``slit_geometry``.  Configs round-trip through serialization unchanged
+and hash stably.
 """
 from __future__ import annotations
 
@@ -46,6 +47,10 @@ class ExperimentConfig:
             raise ConfigInvalid("kind", f"{self.kind!r} not one of {_KINDS}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigInvalid("schema_version", f"{self.schema_version} != {SCHEMA_VERSION}")
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigInvalid(name, f"must be an integer, got {value!r}")
         if self.n not in (1, 2):
             raise ConfigInvalid("n", f"must be 1 or 2, got {self.n}")
         if not 0 < self.h <= 0.25:

@@ -3,7 +3,8 @@
 The slit {x2 = 0, x1 <= gamma} in the unit disc carries a harmonic u
 with Dirichlet data phi on the circle; the tip coefficient
 a = lim u(gamma + t, 0)/t^(1/2) depends on gamma, and the free boundary
-condition picks the tip where a(gamma) = G(gamma).
+condition picks the tip where a(gamma) = G(gamma), found by a scan and
+a bisection to float resolution.
 
 The tip is moved to the origin by the disc automorphism
 T(z) = (z - gamma)/(1 - gamma z), which maps the slit onto [-1, 0];
@@ -82,60 +83,45 @@ class FreeBoundaryResult:
 def solve_free_boundary(prob: TipProblem) -> FreeBoundaryResult:
     """Bracketed root of a(gamma) - G(gamma).
 
-    Coarse scan at 41 points for sign changes (NoBracket if none,
-    MultipleRoots with every refined root if several), bisection to
-    width 1e-3, then at most 60 secant steps to a residual below 1e-9.
-    The search reads only ``tip_coefficient``; the one series built, the
-    root's, is the only source of TruncationWarning.
+    A 41-point scan finds the roots: each scan point, ends included, with
+    residual exactly 0, and each sign change bisected to width eps (the
+    float spacing below 1) or to a midpoint with residual exactly 0,
+    taking the end with the smaller residual.  NoBracket if none,
+    MultipleRoots with every root if several, NonConvergence unless the
+    root's residual is below 1e-9.  The search reads only
+    ``tip_coefficient``; the root's series, the one built, is the only
+    source of TruncationWarning.
     """
-    residual_tol = 1e-9
-
     def F(g):
         return tip_coefficient(g, prob.phi) - float(prob.G(g))
 
-    lo, hi = prob.bracket
-    gs = np.linspace(lo, hi, 41)
-    vals = np.array([F(g) for g in gs])
-    sign_changes = [(gs[j], gs[j + 1]) for j in range(len(gs) - 1)
-                    if vals[j] == 0.0 or (vals[j] * vals[j + 1] < 0.0)]
-    if not sign_changes:
-        raise NoBracket(f"a(gamma) - G has no sign change on [{lo}, {hi}]")
-
-    def refine(a_lo, a_hi):
-        f_lo = F(a_lo)
-        if f_lo == 0.0:
-            return a_lo, 0.0
-        while a_hi - a_lo > 1e-3:
-            mid = 0.5 * (a_lo + a_hi)
+    def bisect(a, b, fa, fb):
+        while b - a > np.finfo(float).eps and fa != 0.0:
+            mid = 0.5 * (a + b)
             f_mid = F(mid)
-            if f_mid == 0.0:
-                return mid, 0.0
-            if f_lo * f_mid < 0.0:
-                a_hi = mid
+            if fa * f_mid < 0.0:
+                b, fb = mid, f_mid
             else:
-                a_lo, f_lo = mid, f_mid
-        g0, g1 = a_lo, a_hi
-        f0, f1 = F(g0), F(g1)
-        for _ in range(60):
-            if abs(f1) < residual_tol:
-                return g1, f1
-            if f1 == f0:
-                break
-            g2 = g1 - f1 * (g1 - g0) / (f1 - f0)
-            g2 = min(max(g2, -0.999999), 0.999999)
-            g0, f0, g1 = g1, f1, g2
-            f1 = F(g1)
-        if abs(f1) >= residual_tol:
-            raise NonConvergence(f"secant residual {abs(f1):.3e} above {residual_tol}")
-        return g1, f1
+                a, fa = mid, f_mid
+        return a if abs(fa) <= abs(fb) else b
 
-    if len(sign_changes) > 1:
-        roots = [refine(a, b)[0] for a, b in sign_changes]
-        exc = MultipleRoots(f"{len(sign_changes)} sign changes; roots {roots}")
+    lo, hi = prob.bracket
+    gs = np.linspace(lo, hi, 41).tolist()
+    fs = [F(g) for g in gs]
+    cells = zip(gs, gs[1:], fs, fs[1:])
+    roots = sorted([g for g, f in zip(gs, fs) if f == 0.0]
+                   + [bisect(a, b, fa, fb) for a, b, fa, fb in cells if fa * fb < 0.0])
+    if not roots:
+        raise NoBracket(f"a(gamma) - G has no sign change on [{lo}, {hi}]")
+    if len(roots) > 1:
+        exc = MultipleRoots(f"{len(roots)} roots: {roots}")
         exc.roots = roots
         raise exc
 
-    g_star, res = refine(*sign_changes[0])
+    g_star = roots[0]
+    a = tip_coefficient(g_star, prob.phi)
+    residual = abs(a - float(prob.G(g_star)))
+    if not residual < 1e-9:
+        raise NonConvergence(f"residual {residual:.3e} at the root is not below 1e-09")
     series = solve_series_2d(_pulled_back_phi(prob.phi, g_star))
-    return FreeBoundaryResult(gamma=float(g_star), a=tip_coefficient(g_star, prob.phi),
-                              residual=abs(res), series=series)
+    return FreeBoundaryResult(gamma=g_star, a=a, residual=residual, series=series)

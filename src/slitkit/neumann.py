@@ -87,21 +87,11 @@ def t_nu_on_edge(T: XRPolynomial) -> XRPolynomial:
     """Edge Neumann trace of T for the flat geometry.
 
     Along the inward normal at an edge point (x', 0, 0) both x_n and r
-    grow like the step t, so the linear-in-t coefficient is
-    b_{(sigma',1),0} + b_{(sigma',0),1} per x'-monomial.
+    grow like the step t, so the trace is (d/dx_n + d/dr) T at
+    x_n = r = 0: the terms of that derivative with mu_n = 0 and m = 0.
     """
-    n = T.n
-    c = {}
-    for (mu, m), v in T.items():
-        if m == 0 and mu[n - 1] == 1:
-            sp = list(mu)
-            sp[n - 1] = 0
-            key = (tuple(sp), 0)
-            c[key] = c.get(key, Fraction(0)) + v
-        if m == 1 and mu[n - 1] == 0:
-            key = (mu, 0)
-            c[key] = c.get(key, Fraction(0)) + v
-    return XRPolynomial(n, c)
+    D = T.diff_x(T.n - 1) + T.diff_r()
+    return XRPolynomial(T.n, {(mu, m): v for (mu, m), v in D.items() if m == 0 and mu[-1] == 0})
 
 
 # ----------------------------------------------------------------------

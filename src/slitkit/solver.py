@@ -11,8 +11,8 @@ Three backends:
   optional singularity splitting that subtracts a fitted multiple of the
   edge profile so the remainder is smooth enough for second-order
   stencils; every system, 2-D or 3-D, is solved by conjugate gradients
-  preconditioned by a line-smoothed geometric multigrid V-cycle
-  (``_Multigrid``),
+  preconditioned by a line-smoothed geometric multigrid V-cycle, one
+  ``_Multigrid`` object per system owning its levels, cycle and CG,
 * a Shortley-Weller disc solver used as an independent oracle by the
   free boundary pipeline.
 
@@ -319,127 +319,115 @@ def _prolongation(axes: list, idx: list, mask: np.ndarray, coarse_mask: np.ndarr
     return P[np.flatnonzero(mask)][:, np.flatnonzero(coarse_mask)].astype(np.float32)
 
 
-class _Level:
-    """One grid of the hierarchy above the coarsest: its operator in
-    float32, the factored tridiagonal line blocks of each axis, and the
-    prolongation from the next coarser grid with its transpose."""
+def _line_factors(A, mask: np.ndarray) -> list:
+    """Per axis of the grid with unknowns ``mask``, the float32 factors
+    (d, e) of A's tridiagonal line blocks, with the permutation that
+    lines up the unknowns along the axis and its inverse (None on z)."""
+    # the unknown number of each node, and each unknown's node
+    number = np.full(mask.shape, -1, dtype=np.int32)
+    number[mask] = np.arange(A.shape[0], dtype=np.int32)
+    node = np.flatnonzero(mask).astype(np.int32)
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int32), np.diff(A.indptr))
+    step = node[A.indices] - node[rows]
+    diag = A.diagonal()
+    strides = np.cumprod((mask.shape[1:] + (1,))[::-1])[::-1]
+    lines = []
+    for axis, stride in enumerate(strides):
+        # coupling of each unknown to the next unknown along the axis
+        # (zero where that node is not an unknown), then the unknowns
+        # line by line: z-lines are already contiguous
+        upper = np.zeros(A.shape[0])
+        along = step == stride
+        upper[rows[along]] = A.data[along]
+        perm = inv = None
+        d = diag
+        if axis < mask.ndim - 1:
+            perm = np.moveaxis(number, axis, -1).ravel()
+            perm = perm[perm >= 0]
+            inv = np.empty_like(perm)
+            inv[perm] = np.arange(len(perm), dtype=np.int32)
+            upper, d = upper[perm], diag[perm]
+        d, e, info = lapack.spttrf(d.astype(np.float32), upper[:-1].astype(np.float32))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"line block of axis {axis} is not positive "
+                                        f"definite (info={info})")
+        lines.append((perm, inv, d, e))
+    return lines
 
-    def __init__(self, A, mask: np.ndarray, P):
-        self.A = sparse.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr),
-                                   shape=A.shape)
-        self.P, self.R = P, P.T.tocsr()
-        # the unknown number of each node, and each unknown's node
-        number = np.full(mask.shape, -1, dtype=np.int32)
-        number[mask] = np.arange(A.shape[0], dtype=np.int32)
-        node = np.flatnonzero(mask).astype(np.int32)
-        rows = np.repeat(np.arange(A.shape[0], dtype=np.int32), np.diff(A.indptr))
-        step = node[A.indices] - node[rows]
-        diag = A.diagonal()
-        strides = np.cumprod((mask.shape[1:] + (1,))[::-1])[::-1]
-        self.lines = []
-        for axis, stride in enumerate(strides):
-            # coupling of each unknown to the next unknown along the axis
-            # (zero where that node is not an unknown), then the unknowns
-            # line by line: z-lines are already contiguous
-            upper = np.zeros(A.shape[0])
-            along = step == stride
-            upper[rows[along]] = A.data[along]
-            perm = inv = None
-            d = diag
-            if axis < mask.ndim - 1:
-                perm = np.moveaxis(number, axis, -1).ravel()
-                perm = perm[perm >= 0]
-                inv = np.empty_like(perm)
-                inv[perm] = np.arange(len(perm), dtype=np.int32)
-                upper, d = upper[perm], diag[perm]
-            d, e, info = lapack.spttrf(d.astype(np.float32), upper[:-1].astype(np.float32))
-            if info != 0:
-                raise np.linalg.LinAlgError(f"line block of axis {axis} is not positive "
-                                            f"definite (info={info})")
-            self.lines.append((perm, inv, d, e))
 
-    def smooth(self, b, x, lines):
-        """Line block-Jacobi sweeps over ``lines`` in order; from zero
-        when ``x`` is None, so the first sweep needs no residual."""
-        for perm, inv, d, e in lines:
-            r = b if x is None else b - self.A @ x
-            t = lapack.spttrs(d, e, r if perm is None else np.take(r, perm))[0]
-            if perm is not None:
-                t = np.take(t, inv)
-            if x is None:
-                x = t
-            else:
-                x += t
-        return x
+def _smooth(A, b, x, lines):
+    """Line block-Jacobi sweeps of A x = b over ``lines`` in order; from
+    zero when ``x`` is None, so the first sweep needs no residual."""
+    for perm, inv, d, e in lines:
+        r = b if x is None else b - A @ x
+        t = lapack.spttrs(d, e, r if perm is None else np.take(r, perm))[0]
+        if perm is not None:
+            t = np.take(t, inv)
+        if x is None:
+            x = t
+        else:
+            x += t
+    return x
 
 
 class _Multigrid:
-    """Symmetric V(1,1)-cycle preconditioner for the FV system A on the
-    unknowns ``mask`` of the tensor grid ``axes``.
+    """Conjugate gradients for the SPD finite-volume system A x = b on
+    the unknowns ``mask`` of the tensor grid ``axes``, preconditioned by
+    a symmetric V(1,1)-cycle (``__call__``) whose hierarchy is built once.
 
     Each coarse axis is every other node of the fine one, both ends kept,
     and the coarse unknowns are the fine unknowns on coarse nodes; each
     coarse operator is ``_fv_laplacian`` of the coarse axes on those
-    unknowns.  Coarsening stops at ``_COARSEST`` unknowns or at an axis
+    unknowns.  A level is the tuple (float32 operator, P, R = P^T, line
+    factors).  Coarsening stops at ``_COARSEST`` unknowns or at an axis
     of two nodes, and the coarsest system is factored.  The smoother is
     alternating line block-Jacobi (omega = 1), axes ascending before the
     coarse correction and descending after it.  The cycle runs in
     float32 and returns float64.
+
+    ``solve(b, x0, rtol)`` runs CG from x0 to the relative residual rtol
+    (default 1e-11, absolute floor rtol * max(|b|, 1)), one cycle per
+    iteration, at most ``_CYCLE_BUDGET``; NonConvergence with the cycle
+    count and relative residual otherwise.  The unknowns per level, the
+    setup time and each solve's cycles, rtol and residual go to DEBUG.
     """
 
     def __init__(self, A, axes: list, mask: np.ndarray):
+        t0 = time.perf_counter()
+        self.A = A
         self.levels = []
         while A.shape[0] > _COARSEST and min(map(len, axes)) > 2:
             # every other node of each axis, both ends kept
             idx = [np.unique(np.append(np.arange(0, len(a), 2), len(a) - 1)) for a in axes]
             coarse_axes = [a[i] for a, i in zip(axes, idx)]
             coarse_mask = mask[np.ix_(*idx)]
-            self.levels.append(_Level(A, mask, _prolongation(axes, idx, mask, coarse_mask)))
+            P = _prolongation(axes, idx, mask, coarse_mask)
+            self.levels.append((A.astype(np.float32), P, P.T.tocsr(), _line_factors(A, mask)))
             keep = coarse_mask.ravel()
             A = -_fv_laplacian(coarse_axes)[1][keep][:, keep]
             axes, mask = coarse_axes, coarse_mask
-        self.unknowns = [lv.A.shape[0] for lv in self.levels] + [A.shape[0]]
+        self.unknowns = [lv[0].shape[0] for lv in self.levels] + [A.shape[0]]
         # sparse LU of the coarsest level, with a symmetric ordering on
         # A^T + A and no pivoting, which keeps the factor small
         self.coarsest = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        _LOG.debug("linear solver: multigrid-cg, unknowns per level %s, setup %.3f s",
+                   "/".join(map(str, self.unknowns)), time.perf_counter() - t0)
 
     def __call__(self, b):
         b = b.astype(np.float32)
         down = []
-        for lv in self.levels:
-            x = lv.smooth(b, None, lv.lines)
+        for A, _, R, lines in self.levels:
+            x = _smooth(A, b, None, lines)
             down.append((b, x))
-            b = lv.R @ (b - lv.A @ x)
+            b = R @ (b - A @ x)
         e = self.coarsest.solve(b).astype(np.float32)
-        for lv, (b, x) in zip(self.levels[::-1], down[::-1]):
-            x += lv.P @ e
-            e = lv.smooth(b, x, lv.lines[::-1])
+        for (A, P, _, lines), (b, x) in zip(self.levels[::-1], down[::-1]):
+            x += P @ e
+            e = _smooth(A, b, x, lines[::-1])
         return e.astype(np.float64)
 
-
-def _linear_solver(A, axes: list, interior: np.ndarray):
-    """``solve(b, x0, rtol)`` for the SPD finite-volume system A x = b on
-    the unknowns ``interior`` of the tensor grid ``axes``.
-
-    Every system, 2-D or 3-D, is solved by conjugate gradients from x0
-    to the relative residual ``rtol`` (default 1e-11, with the absolute
-    floor rtol * max(|b|, 1)), preconditioned by one multigrid V-cycle per
-    iteration (``_Multigrid``), in at most 100 iterations; NonConvergence
-    with the cycle count and relative residual otherwise.  A system of at
-    most ``_COARSEST`` unknowns has no level above the coarsest, so its
-    cycle is the float32 factor and CG ends in a few iterations.  The
-    unknowns per level and the setup time, then each solve's iterations,
-    rtol and final relative residual, are logged at DEBUG on the
-    ``slitkit`` logger.
-    """
-    t0 = time.perf_counter()
-    mg = _Multigrid(A, axes, interior)
-    M = spla.LinearOperator(A.shape, matvec=mg, dtype=np.float64)
-    _LOG.debug("linear solver: multigrid-cg, unknowns per level %s, setup %.3f s",
-               "/".join(map(str, mg.unknowns)), time.perf_counter() - t0)
-
-    def solve(b, x0=None, rtol=1e-11):
+    def solve(self, b, x0=None, rtol=1e-11):
         bnorm = np.linalg.norm(b)
         iterations = 0
 
@@ -447,16 +435,17 @@ def _linear_solver(A, axes: list, interior: np.ndarray):
             nonlocal iterations
             iterations += 1
 
-        x, info = spla.cg(A, b, rtol=rtol, atol=rtol * max(bnorm, 1.0),
+        # built per solve: stored on self, it would be a reference cycle
+        M = spla.LinearOperator(self.A.shape, matvec=self, dtype=np.float64)
+        x, info = spla.cg(self.A, b, rtol=rtol, atol=rtol * max(bnorm, 1.0),
                           maxiter=_CYCLE_BUDGET, M=M, x0=x0, callback=count)
-        resid = np.linalg.norm(b - A @ x) / max(bnorm, 1e-300)
+        resid = np.linalg.norm(b - self.A @ x) / max(bnorm, 1e-300)
         _LOG.debug("cg: %d iterations, rtol %.0e, relative residual %.2e",
                    iterations, rtol, resid)
         if info != 0:
             raise NonConvergence(f"conjugate gradients stalled after {iterations} cycles "
                                  f"(info={info}, relative residual {resid:.2e})")
         return x
-    return solve
 
 
 # ----------------------------------------------------------------------
@@ -624,7 +613,7 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
         # the fit reads the frames; built before the hierarchy, their
         # peak does not stack on it
         sol.node_frames()
-    solve = _linear_solver(A, axes, interior)
+    solve = _Multigrid(A, axes, interior).solve
 
     def run(dirichlet, rhs_field, rtol, x0=None):
         out = dirichlet.copy()

@@ -225,6 +225,23 @@ class TestCLI:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, text", [
+        ("neumann", "k: 1.5\n"),
+        ("barrier", "n: 1.0\nh: 0.25\n"),
+        ("barrier", "n: true\nh: 0.25\n"),
+    ])
+    def test_non_integer_n_or_k_is_config_error(self, tmp_path, capsys, kind, text):
+        # n and k index dimensions and degrees: a float or a bool is bad
+        # input, refused before a run makes its output directory
+        from slitkit import cli
+
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main([kind, "--config", str(cfgfile), "--output", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", None])
     def test_manifest_records_thread_settings(self, tmp_path, monkeypatch, threads):
         from slitkit import cli

@@ -120,6 +120,44 @@ class TestSolveFreeBoundary:
         with pytest.raises(NoBracket):
             solve_free_boundary(prob)
 
+    @pytest.mark.parametrize("end", [-0.5, 0.5])
+    def test_root_at_either_end_of_the_bracket(self, end):
+        # a scan point with residual exactly 0 is a root, the last one too
+        G = tip_coefficient(end, phi_u0)
+        prob = TipProblem(phi=phi_u0, G=lambda g: G + 0.0 * np.asarray(g),
+                          bracket=(-0.5, 0.5))
+        res = solve_free_boundary(prob)
+        assert res.gamma == end and res.residual == 0.0
+
+    @pytest.mark.parametrize("G, bracket, root", [
+        (1.03, (-0.5, 0.5), 0.05817950017897332),
+        (1.05, (-0.5, 0.5), 0.09492322613910496),
+        (2.4, (-0.9, 0.9), 0.8502893593666249),
+        (6.4, (-0.99, 0.99), 0.980020141083927)])
+    def test_root_to_float_resolution(self, G, bracket, root):
+        # root: the earlier search (bisection to width 1e-3, then secant
+        # steps to a residual below 1e-9, which reached 6.1e-10 at 6.4)
+        prob = TipProblem(phi=phi_u0, G=lambda g: G + 0.0 * np.asarray(g), bracket=bracket)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            res = solve_free_boundary(prob)
+        assert res.residual <= 1e-14
+        assert abs(res.gamma - root) <= 1e-10
+
+    def test_tip_coefficient_calls_per_root(self, monkeypatch):
+        # 41 scan points, at most 48 halvings of a cell at most 0.05
+        # wide, and one call at the root
+        calls = []
+
+        def counted(gamma, phi):
+            calls.append(gamma)
+            return tip_coefficient(gamma, phi)
+
+        monkeypatch.setattr(freeboundary, "tip_coefficient", counted)
+        prob = TipProblem(phi=phi_u0, G=lambda g: 2.4 + 0.0 * np.asarray(g))
+        solve_free_boundary(prob)
+        assert 41 < len(calls) <= 90
+
     def test_multiple_roots_reported(self):
         # a(gamma) is increasing (0.82 at -0.4, 1.0 at 0, 1.27 at 0.4);
         # an inverted parabola above a at 0 and below it at +-0.4

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slitkit import (
     DegenerateWeight,
@@ -91,6 +93,22 @@ class TestConstantT:
         T = XRPolynomial(2, {((0, 0), 1): 1})
         tr = t_nu_on_edge(T)
         assert float(tr.coeff((0, 0), 0)) == 1.0
+
+    @given(st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(0, 3)),
+        st.fractions(max_denominator=7).filter(bool), max_size=8))))
+    @settings(max_examples=200, deadline=None)
+    def test_edge_trace_is_the_per_monomial_rule(self, poly):
+        # the trace per x'-monomial is b_{(sigma',1),0} + b_{(sigma',0),1}:
+        # the linear-in-t coefficient along the inward normal
+        n, coeffs = poly
+        T = XRPolynomial(n, coeffs)
+        expect = {}
+        for (mu, m), v in coeffs.items():
+            if (m, mu[-1]) in ((0, 1), (1, 0)):
+                key = (mu[:-1] + (0,), 0)
+                expect[key] = expect.get(key, 0) + v
+        assert t_nu_on_edge(T) == XRPolynomial(n, expect)
 
     def test_free_b1_layer(self):
         T = constant_T(2, 1, q={(0, 0): 1}, free_b1={(0, 1): Fraction(1, 3)})
