@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ExperimentConfig
@@ -223,6 +222,9 @@ def run(cfg: ExperimentConfig) -> int:
             except OSError:
                 break
         raise
+    wall = round(time.time() - t0, 3)
+    import scipy  # read for the manifest only: importing the CLI loads no SciPy
+
     manifest = {
         "config_digest": cfg.digest(),
         "config": json.loads(json.dumps(cfg.__dict__, default=float)),
@@ -232,7 +234,7 @@ def run(cfg: ExperimentConfig) -> int:
         "cpu_count": os.cpu_count(),
         "threads": {v: os.environ.get(v) for v in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": wall,
         "passed": bool(ok),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -69,6 +69,11 @@ class SlitGeometry:
         return _evaluate(_derivative(_derivative(self.coeffs)), t)
 
 
+# frame_fields' closest-point Newton stops once |F| < _FOOT_TOL; with F_t
+# near 1 on the small-curvature graphs used, a foot is known to about this
+_FOOT_TOL = 1e-13
+
+
 def _evaluate(coeffs, t):
     """sum_j c_j t^j in floats over the nonzero c_j, lowest degree first;
     for a single term this is exactly c t^j."""
@@ -102,7 +107,7 @@ def frame_fields(geom: SlitGeometry, X, Z):
     else:
         # vectorized damped Newton on the closest-point condition;
         # F_t > 0 inside the ball for the small-curvature graphs we use.
-        # Each point stops once its own |F| < 1e-13, so its frame does
+        # Each point stops once its own |F| < _FOOT_TOL, so its frame does
         # not depend on the other points of the call
         x1 = X[:, 0]
         x2 = X[:, 1]
@@ -113,7 +118,7 @@ def frame_fields(geom: SlitGeometry, X, Z):
             dgt = np.asarray(geom.dg(t), dtype=float)
             d2t = np.asarray(geom.d2g(t), dtype=float)
             Fv = (t - x1) + (gt - x2) * dgt
-            active &= ~(np.abs(Fv) < 1e-13)
+            active &= ~(np.abs(Fv) < _FOOT_TOL)
             if not active.any():
                 break
             dF = 1.0 + dgt**2 + (gt - x2) * d2t

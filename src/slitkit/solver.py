@@ -23,28 +23,51 @@ that one Laplacian (``_fv_laplacian``).  Both splittings
 (the grid's and the disc's tip splitting) take the cutoff and its two
 derivatives from one ``cutoff`` call, and the grid's reads its monomials
 from ``xrpoly._xpow``, the float monomial routine ``whitney`` also uses.
+
+SciPy's sparse, sparse-solver and LAPACK layers are the module globals
+``sparse``, ``spla`` and ``lapack``, bound to ``_Deferred`` stand-ins
+that import the real module at their first attribute read.  So
+``import slitkit`` loads none of them, and a process loads them at its
+first sparse operator: a grid solve, the disc solve or the barrier.
+Every call reads the three names at call time, so replacing one on this
+module (a counting copy of ``spla``, say) reaches every solve.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import logging
 import math
 import time
+import types
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import IllConditioned, MaskDegenerate, NonConvergence, TruncationWarning
 from .geometry import SlitGeometry, frame_fields
 from .xrpoly import _bump, _indices_of_degree, _xpow, edge_bracket
 
 _LOG = logging.getLogger("slitkit")
+
+
+class _Deferred(types.ModuleType):
+    """Stands for the module of its name, imported at the first read of
+    an attribute this object lacks; the module's namespace is then copied
+    in, so later reads are plain attribute hits."""
+
+    def __getattr__(self, attr):
+        module = importlib.import_module(self.__name__)
+        self.__dict__.update(vars(module))
+        return getattr(module, attr)
+
+
+sparse = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
+lapack = _Deferred("scipy.linalg.lapack")
 
 # ----------------------------------------------------------------------
 # Half-angle series (2D, slit on the negative x1-axis)
@@ -603,6 +626,8 @@ def solve_fd(geom: SlitGeometry, phi: Callable, h: float = 2**-6,
     rhs = np.zeros(dims)
     if raw_rhs is not None:
         rhs += np.asarray(raw_rhs(*coords), dtype=float).reshape(dims)
+    # the node meshgrid is not needed through the frames, hierarchy and solves
+    del grids, coords, phi_vals
 
     vol, L = _fv_laplacian(axes)
     inner = interior.ravel()

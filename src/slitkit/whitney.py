@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfChart, SingularMoments
-from .geometry import SlitGeometry, _evaluate, frame_fields
+from .geometry import _FOOT_TOL, SlitGeometry, _derivative, _evaluate, frame_fields
 from .xrpoly import _indices_of_degree, _xpow
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
 # moment conditions and the extension: the extension then reproduces the
 # polynomials of the moment conditions to rounding, not to the rule's error
 _NQUAD = 80
-# defects at or below this are rounding, not a measurable approach
-_DEFECT_FLOOR = 1e-13
 
 
 def _tensor_rule(n: int):
@@ -173,6 +171,20 @@ def whitney_extend(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     return out
 
 
+def _defect_floor(mol: Mollifier, Q: YPolynomial, reach: np.ndarray) -> np.ndarray:
+    """The resolution of E(Q) - Q o y at points whose feet and quadrature
+    feet lie within ``reach`` of t = 0 (|foot| + |d| bounds them: the
+    ball has radius |d|/2).  Both read Q at closest-point feet known to
+    ``_FOOT_TOL`` and round at machine epsilon, and E weighs its values
+    by rho, so the floor is (||rho||_1 + 1) times the majorants of
+    _FOOT_TOL |Q'| + eps |Q| at |t| = reach."""
+    grids, ws = _tensor_rule(mol.n)
+    mass = float(np.abs(mol(*grids) * ws).sum())
+    size = [abs(float(c)) for c in Q.coeffs]
+    return (mass + 1.0) * (_FOOT_TOL * _evaluate(_derivative(size), reach)
+                           + np.finfo(float).eps * _evaluate(size, reach))
+
+
 def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
                      Z, orders=(0, 1)) -> list[dict]:
     """Defect table for D^m_nu E(Q) vs D^m_nu (Q o y) approaching the edge,
@@ -186,7 +198,9 @@ def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     central difference (f(x0 + step nu) - f(x0 - step nu)) / (2 step)
     of each.  Each row reports the defect sequence and its fitted
     approach rate; the jet-matching statement is defect -> 0 with rate
-    at least k + 1 for the normal derivative.
+    at least k + 1 for the normal derivative.  The fit takes only the
+    defects above ``_defect_floor`` at their points, the resolution of
+    the compared values; with fewer than two the rate is inf (unmeasured).
     """
     if not set(orders) <= {0, 1}:
         raise ValueError("orders 0 and 1 supported")
@@ -197,15 +211,18 @@ def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     step = approaches / 4.0
     pts = np.concatenate([x0, x0 + step[:, None] * nu0, x0 - step[:, None] * nu0])
     E = whitney_extend(mol, Q, geom, pts).reshape(3, -1)
-    Qy = Q.evaluate_foot(frame_fields(geom, pts, np.zeros(len(pts)))["foot"]).reshape(3, -1)
+    fr = frame_fields(geom, pts, np.zeros(len(pts)))
+    Qy = Q.evaluate_foot(fr["foot"]).reshape(3, -1)
+    floor = _defect_floor(mol, Q, np.abs(fr["foot"]) + np.abs(fr["d"])).reshape(3, -1)
 
     rows = []
     for m in orders:
         if m == 0:
             defects = np.abs(E[0] - Qy[0])
+            good = defects > floor[0]
         else:
             defects = np.abs((E[1] - E[2]) / (2 * step) - (Qy[1] - Qy[2]) / (2 * step))
-        good = defects > _DEFECT_FLOOR
+            good = defects > (floor[1] + floor[2]) / (2 * step)
         if good.sum() >= 2:
             A = np.vstack([np.log(approaches[good]), np.ones(int(good.sum()))]).T
             rate = float(np.linalg.lstsq(A, np.log(defects[good]), rcond=None)[0][0])

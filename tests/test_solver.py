@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,33 +144,38 @@ class TestLinearSolve:
         return solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 24)
 
     def test_stalled_cg_reports_residual(self, monkeypatch):
-        spla = types.SimpleNamespace(**vars(solver.spla))
+        spla = types.SimpleNamespace(**vars(scipy.sparse.linalg))
         spla.cg = lambda A, b, **kw: (np.zeros_like(b), 2000)
         monkeypatch.setattr(solver, "spla", spla)
         with pytest.raises(NonConvergence, match=r"info=2000, relative residual 1\.00e\+00"):
             self._solve()
 
 
-def _counting_spla(monkeypatch, name):
-    """Replace ``solver.spla`` by a copy whose ``name`` records its calls."""
-    calls = []
-    spla = types.SimpleNamespace(**vars(solver.spla))
-    real = getattr(spla, name)
+def _counting_spla(monkeypatch, *names):
+    """Replace ``solver.spla`` by a copy of ``scipy.sparse.linalg`` whose
+    functions ``names`` record the shape of their first argument; one
+    list of shapes per name.  The copy is of the real module, because
+    ``solver.spla`` holds no names until its first read."""
+    spla = types.SimpleNamespace(**vars(scipy.sparse.linalg))
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(real, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+        return wrapper
 
-    setattr(spla, name, counting)
+    lists = [[] for _ in names]
+    for name, calls in zip(names, lists):
+        setattr(spla, name, counting(getattr(spla, name), calls))
     monkeypatch.setattr(solver, "spla", spla)
-    return calls
+    return lists
 
 
 class TestDirectSolve:
     def test_split_solve_builds_one_hierarchy(self, monkeypatch):
         # the unsplit solve and both remainder solves share one hierarchy,
         # so its coarsest level is factored once
-        calls = _counting_spla(monkeypatch, "splu")
+        [calls] = _counting_spla(monkeypatch, "splu")
         solve_fd(flat_geometry(1), phi_flat_1, h=2**-5, split=True)
         assert len(calls) == 1
 
@@ -270,8 +276,7 @@ class TestMultigrid:
 
     def test_three_dimensional_solve_calls_cg_and_splu(self, monkeypatch):
         # the traced benchmark fails on a solver binding that sees no calls
-        splu = _counting_spla(monkeypatch, "splu")
-        cg = _counting_spla(monkeypatch, "cg")
+        splu, cg = _counting_spla(monkeypatch, "splu", "cg")
         solve_fd(flat_geometry(2), lambda x1, x2, z: phi_flat_1(x2, z), h=1 / 16,
                  grading=GRADED)
         assert len(cg) == 1 and len(splu) == 1 and splu[0][0] < cg[0][0]
@@ -414,8 +419,7 @@ class TestSingleBackend:
     def test_small_two_dimensional_solve_calls_cg_and_splu(self, monkeypatch):
         # 1,603 unknowns build no level: the cycle is the coarsest factor,
         # and the traced benchmark needs both bindings called
-        splu = _counting_spla(monkeypatch, "splu")
-        cg = _counting_spla(monkeypatch, "cg")
+        splu, cg = _counting_spla(monkeypatch, "splu", "cg")
         solve_fd(flat_geometry(1), phi_flat_1, h=2**-5)
         assert len(cg) == 1 and len(splu) == 1 and splu[0] == cg[0]
 
@@ -549,7 +553,7 @@ class TestDiscOracle:
 
     @pytest.mark.parametrize("gamma", sorted(RECORDED))
     def test_matches_recorded_tips_with_one_spsolve(self, monkeypatch, gamma):
-        calls = _counting_spla(monkeypatch, "spsolve")
+        [calls] = _counting_spla(monkeypatch, "spsolve")
         a, _ = solver.solve_disc_2d(gamma, _disc_phi, h=2**-6)
         assert a == pytest.approx(self.RECORDED[gamma], rel=1e-12, abs=0.0)
         assert len(calls) == 1

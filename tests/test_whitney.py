@@ -134,6 +134,24 @@ class TestJetMatch:
             assert row["approach_rate"] >= 1.0 + 1.0 - 0.3, row
             assert row["defects"][-1] < row["defects"][0]
 
+    def test_k2_rates_are_measured(self):
+        # at k = 2 the order-0 defects fall 5.4e-12, 7.7e-14, 1.1e-15, ...
+        # at rate about 6; an absolute 1e-13 floor kept only the first,
+        # so the row read inf.  The floor follows Q on the quadrature ball
+        rows = verify_jet_match(build_mollifier(2, 2), YPolynomial(2, {(2, 0): 1.0}),
+                                parabola_geometry(0.25), np.zeros(2))
+        for row in rows:
+            assert 3.0 <= row["approach_rate"] < np.inf, row
+
+    def test_rounding_is_not_a_rate(self):
+        # flat edge: E(Q) - Q o y is rounding at every approach, so no
+        # defect clears the floor and the rate stays unmeasured
+        for k in (0, 2):
+            rows = verify_jet_match(build_mollifier(2, k),
+                                    YPolynomial(2, {(1, 0): 1.0, (2, 0): 0.5}),
+                                    flat_geometry(2), np.zeros(2))
+            assert [row["approach_rate"] for row in rows] == [np.inf, np.inf]
+
     def test_one_evaluation_pass(self, monkeypatch):
         # one extension call for all 15 sample points, and two frame
         # calls: the normal at Z and the feet of those points
