@@ -114,7 +114,7 @@ def _rates(cfg, outdir):
 
 def _whitney(cfg, outdir):
     from .geometry import parabola_geometry
-    from .whitney import YPolynomial, build_mollifier, verify_jet_match
+    from .whitney import YPolynomial, build_mollifier, jet_match_passed, verify_jet_match
 
     mol = build_mollifier(cfg.n, cfg.k)
     moments = mol.moments(cfg.k + 2)
@@ -129,7 +129,7 @@ def _whitney(cfg, outdir):
                                 Z=np.zeros(2), orders=(0, 1))
         _write_csv(outdir / "jet_defects.csv", "order,defect,approach_rate",
                    [(r["order"], r["defects"][-1], r["approach_rate"]) for r in rows])
-        ok = ok and all(r["approach_rate"] >= cfg.k + 1 for r in rows)
+        ok = ok and jet_match_passed(rows, cfg.k)
     return ok
 
 

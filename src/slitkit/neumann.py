@@ -8,8 +8,10 @@ builds the corrector pairs (Q, P).
 
 All polynomial solves are exact over rationals; the key identity is the
 r^2-multiplied bracket r^3/U0 * Delta((U0/r) x^mu r^m) = r^2 * (r/U0) *
-Delta(U0 x^mu r^(m-1)), valid down to m = 0, with the bracket taken
-from ``xrpoly.edge_bracket``.
+Delta(U0 x^mu r^(m-1)), valid down to m = 0, with the bracket's terms
+taken from ``xrpoly.edge_bracket``: the jet products d Delta d and d nu
+are formed once per bracket or sweep, and each monomial adds key shifts
+and scalings of them.
 """
 from __future__ import annotations
 

@@ -564,6 +564,8 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
     lap_d = _laplacian_d(sol.geom, fr["foot"][support], d)
 
     inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    # the jet products edge_bracket reads, formed once for every monomial
+    d_lap_d, nu, d_nu = d * lap_d, nu.T, d * nu.T
 
     P = np.zeros_like(r)
     bracket = np.zeros_like(r)       # Delta(U0 P) = (U0/r) * bracket
@@ -575,15 +577,20 @@ def _split_field_and_laplacian(sol: GridSolution, keys, coef):
         # these node powers, and a grid-wide cache would cost memory
         xpow = functools.cache(lambda k: _xpow(xs, k))
         rpow = functools.cache(lambda j: r**j)
+
+        def term(c, x_a, j, f):
+            t = c * xpow(x_a) * rpow(j)
+            return t if f is None else t * f
+
         xmu = xpow(mu)
         rm1 = rpow(m - 1) if m >= 1 else inv_r
         P += a * xmu * rpow(m)
-        bracket += a * edge_bracket(mu, m, xpow, rpow, d, nu.T, lap_d, 0.5)
-        grad_mu_nu = sum(e * xpow(_bump(mu, i, -1)) * nu[:, i] for i, e in enumerate(mu) if e)
+        bracket += a * sum(term(*t) for t in edge_bracket(mu, m, 0.5, lap_d, d_lap_d, nu, d_nu))
+        grad_mu_nu = sum(e * xpow(_bump(mu, i, -1)) * nu[i] for i, e in enumerate(mu) if e)
         radial += a * (xmu * (m + 0.5) * rm1 + rm1 * d * grad_mu_nu)
 
     chi, chi1, chi2 = cutoff(r)
-    lap_r = (1.0 + d * lap_d) * inv_r
+    lap_r = (1.0 + d_lap_d) * inv_r
 
     S = np.zeros(support.shape)
     lap_S = np.zeros(support.shape)

@@ -28,7 +28,7 @@ from .xrpoly import _indices_of_degree, _xpow
 
 __all__ = [
     "Mollifier", "YPolynomial", "build_mollifier", "whitney_extend",
-    "verify_jet_match",
+    "verify_jet_match", "jet_match_passed",
 ]
 
 
@@ -127,7 +127,10 @@ class YPolynomial:
     @property
     def coeffs(self) -> list:
         """Coefficients by power of y_1, as given (n = 1 has the constant
-        alone); unset powers are 0."""
+        alone); unset powers are 0.  A power of y_2 .. y_(n-1) has no
+        place in this list, so it raises ValueError."""
+        if any(any(mu[1:]) for mu in self.coefficients):
+            raise ValueError("coefficients by power of y_1 need Q to depend on y_1 alone")
         out = [0] * (self.degree + 1)
         for mu, c in self.coefficients.items():
             out[mu[0]] = c
@@ -231,3 +234,11 @@ def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
         rows.append({"order": m, "approaches": approaches.tolist(),
                      "defects": defects.tolist(), "approach_rate": rate})
     return rows
+
+
+def jet_match_passed(rows: list[dict], k: int) -> bool:
+    """The jet-matching rule for ``verify_jet_match`` rows of a degree-k
+    mollifier: every approach rate is measured (finite) and at least
+    k + 1.  An inf rate means fewer than two defects cleared the floor,
+    which shows nothing about the rate, so it fails."""
+    return all(np.isfinite(r["approach_rate"]) and r["approach_rate"] >= k + 1 for r in rows)

@@ -5,15 +5,19 @@ Polynomials are stored as sparse maps from (multi-index, r-power) to
 ``XRPolynomial.mul_cut``, which forms only the terms a degree cut keeps.
 The module provides the Laplacian table for products of the square-root
 edge profile with such monomials (exact on the flat edge, cut at a given
-degree on a curved one through geometry jets, each monomial reading the
-jet only through its own degree budget) and the triangular solve for
-approximating polynomials.
+degree on a curved one through geometry jets) and the triangular solve
+for approximating polynomials.  The table rests on ``edge_bracket``, the
+one statement of the bracket identity: it multiplies the four jet
+products Delta d, d Delta d, nu and d nu by monomials only, so a
+monomial's exact bracket is key shifts and scalings of jet products
+formed once per cut, never a product of two polynomials.
 
 Everything here is exact: these results serve as oracles for the grid
 solvers, so no floats are allowed to enter the coefficient arithmetic.
 The one float routine, ``_xpow`` (c x^mu on coordinate arrays), sits
-beside ``edge_bracket``: the grid splitting passes it to the bracket,
-and the Whitney mollifier and its quadrature use it too.
+beside ``edge_bracket``: the grid splitting evaluates the bracket's
+monomials with it on node arrays, and the Whitney mollifier and its
+quadrature use it too.
 """
 
 from __future__ import annotations
@@ -177,8 +181,7 @@ class XRPolynomial:
         """
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        terms = sorted(((sum(mu) + m, mu, m, v) for (mu, m), v in other._c.items()),
-                       key=operator.itemgetter(0))
+        terms = _sorted_terms(other)
         c: dict[Key, Fraction] = {}
         for (mu1, m1), v1 in self._c.items():
             budget = k - sum(mu1) - m1
@@ -280,41 +283,41 @@ class LaplacianResult:
     remainder_order: float
 
 
-def edge_bracket(mu: MultiIndex, m: int, xpow, rpow, d, nu, lap_d, half):
-    """Bracket (r/U0) * Delta(U0 x^mu r^m) in any arithmetic of field values.
+def edge_bracket(mu: MultiIndex, m: int, half, lap_d, d_lap_d, nu, d_nu):
+    """Terms of the bracket (r/U0) * Delta(U0 x^mu r^m) in any arithmetic.
 
-    The pointwise identity, exact once d, nu and Delta d are exact:
+    The pointwise identity, exact once the jet inputs are exact:
 
-      (r/U0) Delta(U0 x^mu r^m) = sum_i mu_i(mu_i-1) x^(mu-2i) r^(m+1)
-          + m(m+1) x^mu r^(m-1)
-          + x^mu (r^m/2 + m d r^(m-1)) * (Delta d)
-          + (r^m + 2 m d r^(m-1)) * sum_i mu_i nu^i x^(mu-i)
+      (r/U0) Delta(U0 x^mu r^m) = 1/2 x^mu r^m (Delta d)
+          + m x^mu r^(m-1) (d Delta d) + m(m+1) x^mu r^(m-1)
+          + sum_i mu_i(mu_i-1) x^(mu-2i) r^(m+1)
+          + sum_i mu_i x^(mu-i) (r^m nu^i + 2m r^(m-1) (d nu^i))
 
-    ``xpow(mu)`` and ``rpow(j)`` return x^mu and r^j, ``nu`` is indexable
-    by component and ``half`` is 1/2 in the caller's arithmetic; only +,
-    * and integer scaling are applied, so the same code runs on exact jet
-    polynomials and on float node arrays.  Terms with a zero integer
-    factor are skipped: r^(m-1) is requested only for m != 0.
+    Yields one (c, a, j, f) per term c x^a r^j f with a nonzero factor c:
+    f is one of the four jet products ``lap_d`` = Delta d, ``d_lap_d`` =
+    d Delta d, ``nu[i]`` and ``d_nu[i]`` = d nu^i, or None for 1.  ``half``
+    is 1/2 in the caller's arithmetic and every other c is an integer, so
+    a caller multiplies each jet product only by a monomial: exact jet
+    polynomials by shifting keys, float node arrays by scaling.  r^(m-1)
+    is requested only for m != 0.
 
     The curvature enters through Delta d = -kappa: the parallel surfaces
     of a convex slit edge make U0 strictly superharmonic above it, which
     fixes the sign (checked against finite differences).
     """
-    x_mu, r_m = xpow(mu), rpow(m)
-    lap_w, grad_w = r_m * half, r_m
+    yield half, mu, m, lap_d
     if m:
-        d_r = d * rpow(m - 1)
-        lap_w = lap_w + d_r * m
-        grad_w = grad_w + d_r * (2 * m)
-    out = x_mu * lap_w * lap_d
-    if m * (m + 1):
-        out = out + x_mu * rpow(m - 1) * (m * (m + 1))
+        yield m, mu, m - 1, d_lap_d
+        if m + 1:
+            yield m * (m + 1), mu, m - 1, None
     for i, e in enumerate(mu):
         if e > 1:
-            out = out + xpow(_bump(mu, i, -2)) * rpow(m + 1) * (e * (e - 1))
-        if e > 0:
-            out = out + grad_w * nu[i] * xpow(_bump(mu, i, -1)) * e
-    return out
+            yield e * (e - 1), _bump(mu, i, -2), m + 1, None
+        if e:
+            low = _bump(mu, i, -1)
+            yield e, low, m, nu[i]
+            if m:
+                yield 2 * e * m, low, m - 1, d_nu[i]
 
 
 def _xpow(xs, mu: MultiIndex, c=1.0):
@@ -328,36 +331,66 @@ def _xpow(xs, mu: MultiIndex, c=1.0):
     return out
 
 
-def poly_bracket(mu: MultiIndex, m: int, d: XRPolynomial, nu, lap_d: XRPolynomial,
-                 shift: int = 0) -> XRPolynomial:
-    """``edge_bracket`` on exact polynomials, times r**shift.
+def _sorted_terms(p: XRPolynomial) -> list:
+    """p's terms as (degree, mu, m, v), sorted by degree."""
+    return sorted(((sum(mu) + m, mu, m, v) for (mu, m), v in p._c.items()),
+                  key=operator.itemgetter(0))
 
-    A positive ``shift`` lets m go negative while every requested power
-    r^j is stored as r^(j + shift) >= 0.
+
+_HALF = Fraction(1, 2)
+
+
+def _jet_products(jet, k: float) -> tuple:
+    """``edge_bracket``'s jet inputs Delta d = -kappa, d Delta d, nu and
+    d nu of ``jet``, the products cut at degree k, each as the term list
+    of ``_sorted_terms``.  Formed once per cut, they serve every
+    monomial's bracket."""
+    lap_d = -jet.kappa
+    return (_sorted_terms(lap_d), _sorted_terms(jet.d.mul_cut(lap_d, k)),
+            [_sorted_terms(v) for v in jet.nu],
+            [_sorted_terms(jet.d.mul_cut(v, k)) for v in jet.nu])
+
+
+def _add_bracket(out: dict, v: Fraction, mu: MultiIndex, m: int, products: tuple,
+                 k: float, lower: int = 0) -> None:
+    """Add v r^(2 lower) times the bracket of Delta(U0 x^mu r^(m - lower)),
+    cut at degree k, into the coefficient map ``out``.
+
+    ``products`` comes from ``_jet_products`` at a cut of at least k.
+    Each term of ``edge_bracket`` multiplies a jet product by a monomial
+    c x^a r^j of degree |a| + j, so only the product terms through degree
+    k - |a| - j reach the result: the sorted term list stops there.
     """
-    n, one = d.n, Fraction(1)
-    return edge_bracket(tuple(mu), m, lambda a: XRPolynomial._wrap(n, {(a, 0): one}),
-                        lambda j: XRPolynomial._wrap(n, {((0,) * n, j + shift): one}),
-                        d, nu, lap_d, Fraction(1, 2))
+    for c, a, j, f in edge_bracket(mu, m - lower, _HALF, *products):
+        j += 2 * lower
+        budget = k - sum(a) - j
+        if budget < 0:
+            continue
+        c = v * c
+        if f is None:
+            out[(a, j)] = out.get((a, j), 0) + c
+            continue
+        for deg, b, l, w in f:
+            if deg > budget:
+                break
+            key = (tuple(map(operator.add, a, b)), j + l)
+            p = c * w
+            old = out.get(key)
+            out[key] = p if old is None else old + p
 
 
 def flat_principal(n: int, mu: MultiIndex, m: int) -> XRPolynomial:
     """Flat-interface bracket of Delta(U0 x^mu r^m), valid for m >= -1.
 
     The flat edge has d = x_n, nu = e_n and Delta d = 0.  The bracket is
-    formed at r-shift 2 and shifted back, so a negative r-power in the
-    result (e.g. mu_n > 0 at m = -1) raises ValueError.
+    formed at r-shift 2, as the weighted bracket of x^mu r^(m+1), and
+    shifted back, so a negative r-power in the result (e.g. mu_n > 0 at
+    m = -1) raises ValueError.
     """
-    nu = [XRPolynomial.zero(n)] * (n - 1) + [XRPolynomial.constant(n, 1)]
-    return poly_bracket(mu, m, XRPolynomial.x_var(n, n - 1), nu, XRPolynomial.zero(n),
-                        shift=2).mul_r_power(-2)
+    from .geometry import flat_jet
 
-
-def _jet_terms(jet, k: int) -> tuple:
-    """d, nu and Delta d = -kappa of a jet, cut at degree k: one
-    monomial's budget in ``_bracket_sum``, so that the bracket never
-    forms the products its truncation would throw away."""
-    return jet.d.truncate(k), [v.truncate(k) for v in jet.nu], -jet.kappa.truncate(k)
+    V = XRPolynomial.monomial(n, mu, m + 1)
+    return _bracket_sum(V, flat_jet(n), None, lower=1).mul_r_power(-2)
 
 
 def _bracket_sum(V: XRPolynomial, jet, degree: int | None, lower: int = 0) -> XRPolynomial:
@@ -366,26 +399,16 @@ def _bracket_sum(V: XRPolynomial, jet, degree: int | None, lower: int = 0) -> XR
 
     ``lower`` = 0 gives the table of ``laplacian_of_product``, and
     ``lower`` = 1 the weighted bracket of ``weighted_laplacian_bracket``.
-    ``degree=None`` keeps the full jet and an exact, uncut result.  A cut
-    ``degree`` truncates the result, and each monomial reads the jet
-    terms cut at its own budget min(degree, degree - (|mu| + m + lower)
-    + 2), built once per budget: a jet term multiplies x- and r-powers
-    of degree at least |mu| + m + lower - 2 (the d r^(m-1) nu x^(mu-i)
-    term, counting d as degree >= 0), so a higher one cannot reach the
-    result, and a negative budget puts the whole bracket above it.
+    ``degree=None`` keeps the full jet and an exact, uncut result; a cut
+    ``degree`` keeps every term through that degree and none above.  The
+    jet products are formed once, for all of V's monomials.
     """
     k = math.inf if degree is None else degree
-    cut: dict = {}
+    products = _jet_products(jet, k)
     out: dict[Key, Fraction] = {}
     for (mu, m), v in V._c.items():
-        budget = min(k, k - (sum(mu) + m + lower) + 2)
-        if budget < 0:
-            continue
-        if budget not in cut:
-            cut[budget] = _jet_terms(jet, budget)
-        for key, c in poly_bracket(mu, m - lower, *cut[budget], shift=2 * lower)._c.items():
-            out[key] = out.get(key, 0) + v * c
-    return XRPolynomial._wrap(V.n, out).truncate(k)
+        _add_bracket(out, v, mu, m, products, k, lower)
+    return XRPolynomial._wrap(V.n, out)
 
 
 def laplacian_of_product(P: XRPolynomial, jet, k: int) -> LaplacianResult:
@@ -409,9 +432,11 @@ def laplacian_monomial(mu: Iterable[int], m: int, jet, k: int) -> LaplacianResul
 
 
 def _indices_of_degree(n: int, deg: int) -> list[MultiIndex]:
+    """Every multi-index of length n and total degree deg, in ascending
+    lexicographic order: (0, deg), (1, deg - 1), ... for n = 2."""
     if n == 1:
         return [(deg,)]
-    return [(a, deg - a) for a in range(deg + 1)]
+    return [(a,) + rest for a in range(deg + 1) for rest in _indices_of_degree(n - 1, deg - a)]
 
 
 def _sweep(jet, target: XRPolynomial, k: int, base: XRPolynomial) -> XRPolynomial:
@@ -421,18 +446,19 @@ def _sweep(jet, target: XRPolynomial, k: int, base: XRPolynomial) -> XRPolynomia
     and, within a degree, the r-power upward: the bracket coefficient
     A_{sigma,l} of Delta(U0 P) pins a_{sigma,l+1} with the strictly
     positive pivot (l+1)(l+2+2 sigma_n), so that the bracket matches
-    ``target`` through degree k.  The running bracket is kept as the sum
-    of the table entries of the coefficients pinned so far; each entry
-    is computed and added once, when its coefficient is known.
+    ``target`` through degree k.  The running bracket, cut at degree k,
+    is kept as the sum of the brackets of the coefficients pinned so
+    far; each is added once, when its coefficient is known, from jet
+    products formed once per solve.
     """
     n = jet.n
     coeffs: dict[Key, Fraction] = {}
     bracket: dict[Key, Fraction] = {}
+    products = _jet_products(jet, k)
 
     def pin(key: Key, a: Fraction) -> None:
         coeffs[key] = a
-        for bk, v in laplacian_monomial(*key, jet, k).total._c.items():
-            bracket[bk] = bracket.get(bk, 0) + a * v
+        _add_bracket(bracket, a, *key, products, k)
 
     for key, a in base._c.items():
         pin(key, a)

@@ -46,6 +46,7 @@ from slitkit import (
     whitney_extend,
 )
 from slitkit.solver import _cell_widths, empty_solution
+from slitkit.whitney import jet_match_passed
 from slitkit.xrpoly import laplacian_of_product
 
 pytestmark = pytest.mark.acceptance
@@ -189,7 +190,7 @@ class TestCriterion6:
             rows = verify_jet_match(mol, YPolynomial(2, {(2, 0): 1.0}), geom,
                                     np.zeros(2), orders=(0, 1))
             rate = min(r["approach_rate"] for r in rows)
-            this = worst <= 1e-12 and rep <= 1e-8 and rate >= k + 1
+            this = worst <= 1e-12 and rep <= 1e-8 and jet_match_passed(rows, k)
             ok = ok and this
             details.append(f"k={k}: moments {worst:.1e}, flat {rep:.1e}, "
                            f"jet rate {rate:.2f} >= {k + 1}")

@@ -152,6 +152,22 @@ class TestJetMatch:
                                     flat_geometry(2), np.zeros(2))
             assert [row["approach_rate"] for row in rows] == [np.inf, np.inf]
 
+    def test_unmeasured_rate_fails(self, monkeypatch, tmp_path):
+        # one defect above the floor leaves the row's rate unmeasured
+        # (inf), and inf >= k + 1 must not pass the CLI or criterion 6
+        from slitkit import cli
+
+        def stub(mol, Q, geom, Z, orders=(0, 1)):
+            approaches = [2.0**-j for j in range(3, 8)]
+            return [{"order": m, "approaches": approaches,
+                     "defects": [3e-13, 2e-17, 1e-17, 1e-17, 1e-17],
+                     "approach_rate": float("inf")} for m in orders]
+
+        monkeypatch.setattr(whitney, "verify_jet_match", stub)
+        rows = stub(None, None, None, None)
+        assert not whitney.jet_match_passed(rows, 0)
+        assert cli.main(["whitney", "--n", "2", "--output", str(tmp_path)]) == 1
+
     def test_one_evaluation_pass(self, monkeypatch):
         # one extension call for all 15 sample points, and two frame
         # calls: the normal at Z and the feet of those points

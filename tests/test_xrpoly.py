@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import slitkit.xrpoly
 from slitkit import (
+    SlitGeometry,
     TruncationWarning,
     XRPolynomial,
     YPolynomial,
@@ -27,11 +28,49 @@ from slitkit import (
     solve_approximating,
     solve_pair_systems,
 )
-from slitkit.xrpoly import _bracket_sum
+from slitkit.xrpoly import _bracket_sum, _bump
 
 
 def xr(n, coeffs):
     return XRPolynomial(n, coeffs)
+
+
+def product_form_bracket_sum(V, jet, degree, lower=0):
+    """Reference for ``_bracket_sum``: each monomial's bracket in the
+    factored form
+
+      (r/U0) Delta(U0 x^mu r^m) = sum_i mu_i(mu_i-1) x^(mu-2i) r^(m+1)
+          + m(m+1) x^mu r^(m-1) + x^mu (r^m/2 + m d r^(m-1)) (Delta d)
+          + (r^m + 2 m d r^(m-1)) sum_i mu_i nu^i x^(mu-i),
+
+    at r-shift 2 lower, every product a full ``__mul__`` of the whole
+    jet terms, and one ``truncate`` at the end."""
+    n, s = V.n, 2 * lower
+    d, nu, lap_d = jet.d, jet.nu, -jet.kappa
+
+    def x(a):
+        return XRPolynomial.monomial(n, a, 0)
+
+    def r(j):
+        return XRPolynomial.monomial(n, (0,) * n, j + s)
+
+    total = XRPolynomial.zero(n)
+    for (mu, m0), v in V.items():
+        m = m0 - lower
+        lap_w, grad_w = r(m) * F(1, 2), r(m)
+        if m:
+            lap_w = lap_w + d * r(m - 1) * m
+            grad_w = grad_w + d * r(m - 1) * (2 * m)
+        out = x(mu) * lap_w * lap_d
+        if m * (m + 1):
+            out = out + x(mu) * r(m - 1) * (m * (m + 1))
+        for i, e in enumerate(mu):
+            if e > 1:
+                out = out + x(_bump(mu, i, -2)) * r(m + 1) * (e * (e - 1))
+            if e:
+                out = out + grad_w * nu[i] * x(_bump(mu, i, -1)) * e
+        total = total + out * v
+    return total if degree is None else total.truncate(degree)
 
 
 def polys(n):
@@ -44,6 +83,11 @@ def polys(n):
 @functools.lru_cache(maxsize=None)
 def _jet(edge):
     return flat_jet(2, 5) if edge == "flat" else gamma_jet(edge, 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _curved_jet(edge, order):
+    return gamma_jet(edge, order)
 
 
 class TestAlgebra:
@@ -226,6 +270,16 @@ class TestCurvedTable:
         jet = _jet(edge)
         assert _bracket_sum(V, jet, k, lower) == _bracket_sum(V, jet, None, lower).truncate(k)
 
+    @given(polys(2), st.sampled_from(["flat", "t**2/4", "5*t**2/32 - 3*t**3/32",
+                                      "t**2/8 + t**3/4 - t**4/16"]),
+           st.integers(3, 6), st.sampled_from([None, 0, 1, 2, 3, 4, 5]), st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_is_the_product_form(self, V, edge, order, k, lower):
+        # the expanded identity on shared jet products against the factored
+        # one with whole polynomial products, on flat and curved jets
+        jet = flat_jet(2, order) if edge == "flat" else _curved_jet(edge, order)
+        assert _bracket_sum(V, jet, k, lower) == product_form_bracket_sum(V, jet, k, lower)
+
     def test_numeric_curved_bracket(self):
         """Full curved bracket against finite differences of the true frame."""
         import numpy as np
@@ -297,6 +351,24 @@ class TestApproximatingSolve:
             solve_approximating(j, XRPolynomial.constant(1, 2), 3)
         with pytest.raises(ValueError):
             solve_approximating(j, XRPolynomial.zero(1), 3, free={(1,): 2})
+
+    def test_flat_edge_in_three_dimensions(self):
+        # x1^2 + x2^2 - (2/3) r^2 times U0 is harmonic: the flat bracket
+        # of x1^2 and x2^2 is 2r each, and that of r^2 is 6r
+        jet = flat_jet(3)
+        P = solve_approximating(jet, XRPolynomial.zero(3), 3, free={(2, 0, 0): 1, (0, 2, 0): 1})
+        assert P == xr(3, {((2, 0, 0), 0): 1, ((0, 2, 0), 0): 1, ((0, 0, 0), 2): F(-2, 3)})
+        assert laplacian_of_product(P, jet, 3).total.truncate(3).is_zero()
+        with pytest.raises(ValueError, match="n = 1 and n = 2"):
+            SlitGeometry(3)
+
+    def test_constant_T_in_three_dimensions(self):
+        # x2 is a spectator of the flat family: n = 2's T = x1^2 - r^2;
+        # a Q in x2 has no place in the y_1 coefficient list, so it is refused
+        assert constant_T(3, 1, q={(2, 0, 0): 1}) == xr(3, {((2, 0, 0), 0): 1,
+                                                             ((0, 0, 0), 2): -1})
+        with pytest.raises(ValueError, match="y_1 alone"):
+            constant_T(3, 1, q={(0, 2, 0): 1})
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=20, deadline=None)
@@ -388,19 +460,37 @@ class TestSweep:
             assert formal_hessian(P0, jet) == [[poly(v) for v in row] for row in case["hessian"]]
 
     def test_each_table_entry_is_built_once(self, monkeypatch):
-        # the sweep adds each pinned coefficient's table entry to a running
-        # bracket, so no monomial is tabulated twice and none that P lacks
+        # the sweep adds each pinned coefficient's bracket to a running
+        # bracket, so no monomial is bracketed twice and none that P lacks
         calls = []
-        real = slitkit.xrpoly.laplacian_monomial
+        real = slitkit.xrpoly._add_bracket
 
-        def counting(mu, m, jet, k):
+        def counting(out, v, mu, m, *args):
             calls.append((tuple(mu), m))
-            return real(mu, m, jet, k)
+            return real(out, v, mu, m, *args)
 
-        monkeypatch.setattr(slitkit.xrpoly, "laplacian_monomial", counting)
+        monkeypatch.setattr(slitkit.xrpoly, "_add_bracket", counting)
         jet = gamma_jet("5*t**2/32 - 3*t**3/32", order=5)
         R = xr(2, {((0, 0), 0): F(1, 5), ((1, 0), 1): F(-1, 7)})
         P = solve_approximating(jet, R, 4, free={(0, 1): F(1, 2), (2, 0): F(-1, 3)})
         keys = [key for key, _ in P.items()]
         assert len(calls) == len(set(calls)) <= len(keys)
         assert set(calls) <= set(keys)
+
+    def test_jet_products_are_formed_once_per_solve(self, monkeypatch):
+        # the jet products d Delta d and d nu^i are formed once, at the
+        # solve's degree cut; a monomial's bracket is then key shifts and
+        # scalings, so per-monomial polynomial products cannot come back
+        jet = gamma_jet("5*t**2/32 - 3*t**3/32", order=5)
+        R = xr(2, {((0, 0), 0): F(1, 5), ((1, 0), 1): F(-1, 7)})
+        calls = []
+        real = XRPolynomial.mul_cut
+
+        def counting(self, other, k):
+            calls.append(k)
+            return real(self, other, k)
+
+        monkeypatch.setattr(XRPolynomial, "mul_cut", counting)
+        P = solve_approximating(jet, R, 4, free={(0, 1): F(1, 2), (2, 0): F(-1, 3)})
+        assert P.degree == 5
+        assert len(calls) <= (jet.n + 1) * len(set(calls)) and set(calls) == {4}
