@@ -27,8 +27,10 @@ from .xrpoly import XRPolynomial
 class RateReport:
     """Dyadic-shell sup errors and the fitted decay exponent.
 
-    A report passes when it is exact, or when the exponent is within 0.2
-    of the target and the log-log residual is at most 0.3.
+    A report passes when the exponent is within 0.2 of the target and
+    the log-log residual is at most 0.3.  The exponent is ``_order``'s:
+    inf (residual 0) when every error is at rounding, which passes, and
+    NaN when the errors measure no rate, which fails.
     """
 
     scales: np.ndarray
@@ -36,7 +38,6 @@ class RateReport:
     exponent: float
     residual: float           # RMS log-space regression residual
     target: float
-    exact: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -50,30 +51,29 @@ class RateReport:
 
     @property
     def passed(self) -> bool:
-        return self.exact or (self.exponent >= self.target - 0.2 and self.residual <= 0.3)
+        return self.exponent >= self.target - 0.2 and self.residual <= 0.3
 
 
-def _fit_loglog(scales, errors):
-    """(exponent, RMS residual, exact flag) of log e vs log lambda."""
+def _order(scales, errors, floor) -> tuple[float, float]:
+    """(exponent, RMS residual) of the least-squares line log e = p log s + c
+    through the errors above ``floor`` (a scalar or one value per error).
+
+    Every error at or below its floor is exact: (inf, 0.0).  A NaN error
+    (a region with nothing in it) or a single error above the floor
+    measures no rate: (nan, nan), which fails every ``>=``.
+    """
     s = np.asarray(scales, dtype=float)
     e = np.asarray(errors, dtype=float)
-    if np.all(e == 0):
-        return math.inf, 0.0, True
-    floor = max(e.max() * 1e-14, 1e-300)
-    if np.any(e <= floor):
-        # near-exact shells would skew the regression; treat as exact
-        # when everything is at rounding scale
-        if e.max() < 1e-12:
-            return math.inf, 0.0, True
-        keep = e > floor
-        s, e = s[keep], e[keep]
-        if len(s) < 3:
-            return math.inf, 0.0, True
-    ls, le = np.log(s), np.log(e)
+    keep = e > floor
+    if np.isnan(e).any() or keep.sum() == 1:
+        return math.nan, math.nan
+    if not keep.any():
+        return math.inf, 0.0
+    ls, le = np.log(s[keep]), np.log(e[keep])
     A = np.stack([ls, np.ones_like(ls)], axis=1)
     coef, *_ = np.linalg.lstsq(A, le, rcond=None)
     resid = le - A @ coef
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2))), False
+    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
 def _poly_from_coeffs(n, keys, coeffs) -> XRPolynomial:
@@ -93,7 +93,9 @@ def _sup_rates(dev, dist, scales, target, mode: str, min_nodes: int = 0,
     shell (``mode="shell"``) at each scale, and its log-log decay fit.
 
     A region with fewer than ``min_nodes`` samples raises
-    InsufficientResolution; an empty one contributes zero.
+    InsufficientResolution.  An empty one is written as error 0 but
+    enters the fit as NaN, so the exponent reads NaN: unmeasured, not
+    exact.  Errors at or below 1e-12 are rounding.
     """
     if mode not in ("shell", "ball"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -106,10 +108,10 @@ def _sup_rates(dev, dist, scales, target, mode: str, min_nodes: int = 0,
         if sel.sum() < min_nodes:
             raise InsufficientResolution(
                 f"{mode} at scale {hi:.4f} has {int(sel.sum())} nodes < {min_nodes}")
-        errors[j] = dev[sel].max() if sel.any() else 0.0
-    expo, resid, exact = _fit_loglog(scales, errors)
-    return RateReport(scales=scales, errors=errors, exponent=expo, residual=resid,
-                      target=target, exact=exact, label=label)
+        errors[j] = dev[sel].max() if sel.any() else math.nan
+    expo, resid = _order(scales, errors, 1e-12)
+    return RateReport(scales=scales, errors=np.nan_to_num(errors, nan=0.0), exponent=expo,
+                      residual=resid, target=target, label=label)
 
 
 # ----------------------------------------------------------------------

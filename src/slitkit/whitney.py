@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfChart, SingularMoments
+from .expansion import _order
 from .geometry import _FOOT_TOL, SlitGeometry, _derivative, _evaluate, frame_fields
 from .xrpoly import _indices_of_degree, _xpow
 
@@ -201,9 +202,10 @@ def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     central difference (f(x0 + step nu) - f(x0 - step nu)) / (2 step)
     of each.  Each row reports the defect sequence and its fitted
     approach rate; the jet-matching statement is defect -> 0 with rate
-    at least k + 1 for the normal derivative.  The fit takes only the
-    defects above ``_defect_floor`` at their points, the resolution of
-    the compared values; with fewer than two the rate is inf (unmeasured).
+    at least k + 1 for the normal derivative.  The rate is
+    ``expansion._order``'s, over the defects above ``_defect_floor`` at
+    their points, the resolution of the compared values: inf (exact)
+    when none clears it, NaN (unmeasured) when one alone does.
     """
     if not set(orders) <= {0, 1}:
         raise ValueError("orders 0 and 1 supported")
@@ -221,24 +223,17 @@ def verify_jet_match(mol: Mollifier, Q: YPolynomial, geom: SlitGeometry,
     rows = []
     for m in orders:
         if m == 0:
-            defects = np.abs(E[0] - Qy[0])
-            good = defects > floor[0]
+            defects, cut = np.abs(E[0] - Qy[0]), floor[0]
         else:
             defects = np.abs((E[1] - E[2]) / (2 * step) - (Qy[1] - Qy[2]) / (2 * step))
-            good = defects > (floor[1] + floor[2]) / (2 * step)
-        if good.sum() >= 2:
-            A = np.vstack([np.log(approaches[good]), np.ones(int(good.sum()))]).T
-            rate = float(np.linalg.lstsq(A, np.log(defects[good]), rcond=None)[0][0])
-        else:
-            rate = float("inf")
-        rows.append({"order": m, "approaches": approaches.tolist(),
-                     "defects": defects.tolist(), "approach_rate": rate})
+            cut = (floor[1] + floor[2]) / (2 * step)
+        rows.append({"order": m, "approaches": approaches.tolist(), "defects": defects.tolist(),
+                     "approach_rate": _order(approaches, defects, cut)[0]})
     return rows
 
 
 def jet_match_passed(rows: list[dict], k: int) -> bool:
     """The jet-matching rule for ``verify_jet_match`` rows of a degree-k
-    mollifier: every approach rate is measured (finite) and at least
-    k + 1.  An inf rate means fewer than two defects cleared the floor,
-    which shows nothing about the rate, so it fails."""
-    return all(np.isfinite(r["approach_rate"]) and r["approach_rate"] >= k + 1 for r in rows)
+    mollifier: every approach rate is at least k + 1.  An exact row (inf,
+    every defect at rounding) passes; an unmeasured one (NaN) fails."""
+    return all(r["approach_rate"] >= k + 1 for r in rows)

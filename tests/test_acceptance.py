@@ -189,7 +189,7 @@ class TestCriterion6:
                                 - Q.evaluate_foot(pts[:, 0])))
             rows = verify_jet_match(mol, YPolynomial(2, {(2, 0): 1.0}), geom,
                                     np.zeros(2), orders=(0, 1))
-            rate = min(r["approach_rate"] for r in rows)
+            rate = np.min([r["approach_rate"] for r in rows])
             this = worst <= 1e-12 and rep <= 1e-8 and jet_match_passed(rows, k)
             ok = ok and this
             details.append(f"k={k}: moments {worst:.1e}, flat {rep:.1e}, "

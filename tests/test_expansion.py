@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slitkit import (
     IllConditioned,
@@ -21,6 +23,7 @@ from slitkit import (
     rate_report,
     solve_fd,
 )
+from slitkit.expansion import _order
 from slitkit.solver import empty_solution
 
 SCALES = [2.0**-j for j in range(1, 6)]
@@ -57,7 +60,56 @@ class TestRateReport:
         assert not self._mk(e, exponent=0.5).passed          # below target - margin
         assert self._mk(e, exponent=0.85).passed             # inside the margin
         assert not self._mk(e, exponent=1.0, residual=0.5).passed
-        assert self._mk(e, exponent=0.0, exact=True).passed  # exact decay wins
+        assert self._mk(e, exponent=math.inf).passed           # exact decay
+        assert not self._mk(e, exponent=math.nan, residual=math.nan).passed  # unmeasured
+
+
+# four or five dyadic scales, 2^-1 downwards
+DYADIC = st.integers(4, 5).map(lambda m: np.array([2.0**-j for j in range(1, m + 1)]))
+
+
+class TestOrder:
+    """``_order``, the one estimator of an observed order."""
+
+    @given(DYADIC, st.floats(0.5, 6.0), st.floats(1e-2, 1e2))
+    @settings(max_examples=60, deadline=None)
+    def test_power_law_gives_its_exponent(self, s, p, c):
+        expo, resid = _order(s, c * s**p, 1e-12)
+        assert expo == pytest.approx(p, abs=1e-9)
+        assert resid < 1e-9
+
+    @given(DYADIC, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nan_error_is_unmeasured(self, s, data):
+        e = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-16, 1e2)),
+                                        min_size=len(s), max_size=len(s))))
+        e[data.draw(st.integers(0, len(s) - 1))] = math.nan
+        expo, resid = _order(s, e, 1e-12)
+        assert math.isnan(expo) and math.isnan(resid)
+
+    @staticmethod
+    def _at_floor(s, data):
+        """A scalar or per-error floor, and errors at or below it."""
+        floor = data.draw(st.one_of(
+            st.floats(1e-16, 1e-6),
+            st.lists(st.floats(1e-16, 1e-6), min_size=len(s), max_size=len(s)).map(np.array)))
+        frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(s), max_size=len(s)))
+        return floor, np.broadcast_to(floor, s.shape) * np.array(frac)
+
+    @given(DYADIC, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_errors_at_the_floor_are_exact(self, s, data):
+        floor, e = self._at_floor(s, data)
+        assert _order(s, e, floor) == (math.inf, 0.0)
+
+    @given(DYADIC, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_error_above_the_floor_is_unmeasured(self, s, data):
+        floor, e = self._at_floor(s, data)
+        i = data.draw(st.integers(0, len(s) - 1))
+        e[i] = np.broadcast_to(floor, e.shape)[i] * data.draw(st.floats(1.5, 1e6))
+        expo, resid = _order(s, e, floor)
+        assert math.isnan(expo) and math.isnan(resid)
 
 
 class TestSeriesRates:
@@ -83,7 +135,7 @@ class TestSeriesRates:
         # u = U0 itself: the quotient is identically 1
         P0 = XRPolynomial.constant(1, 1)
         rep = rate_report(exact_u0, P0, None, SCALES, target=1.0)
-        assert rep.exact and rep.passed
+        assert rep.exponent == math.inf and rep.passed
 
     def test_linear_decay_of_truncated_tangent(self, three_half):
         # dropping the linear part of 1 + 0.3 (2x - r) leaves an error
@@ -188,6 +240,21 @@ class TestDerivativeChecks:
                                       SCALES[:4], order=1, target=1.0)
         assert [r.label for r in reps] == ["d1"]
         assert np.all(reps[0].errors >= 0)
+
+    def test_empty_shells_are_unmeasured(self):
+        # at h = 2^-4 the three inner shells of 2^-1 .. 2^-5 hold no node
+        # of the cone: they read 0, two errors measure no rate, and d1
+        # fails; an empty shell must not count as an exact one
+        def phi(x, z):
+            return phi_flat(x, z) * (1.0 + 0.3 * (2.0 * x - np.hypot(x, z)))
+
+        sol = solve_fd(flat_geometry(1), phi, h=2**-4, split=True)
+        P0 = fit_tangent(sol, np.zeros(1), degree=1, rmax=0.25)
+        (rep,) = derivative_rate_checks(sol, P0, flat_jet(1, 3), np.zeros(1), SCALES,
+                                        order=1, target=1.0)
+        assert rep.errors[0] > 0 and rep.errors[1] > 0
+        assert list(rep.errors[2:]) == [0.0, 0.0, 0.0]
+        assert math.isnan(rep.exponent) and not rep.passed
 
     def test_only_first_order_is_checked(self):
         sol = empty_solution(flat_geometry(1), 2**-5)

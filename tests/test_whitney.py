@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slitkit import whitney
+from slitkit.expansion import _order
 from slitkit import (
     Mollifier,
     OutOfChart,
@@ -145,26 +146,30 @@ class TestJetMatch:
 
     def test_rounding_is_not_a_rate(self):
         # flat edge: E(Q) - Q o y is rounding at every approach, so no
-        # defect clears the floor and the rate stays unmeasured
+        # defect clears the floor: the rate reads exact (inf), not a
+        # fitted number, and the jet match passes, since E(Q)
+        # reproduces Q to rounding
         for k in (0, 2):
             rows = verify_jet_match(build_mollifier(2, k),
                                     YPolynomial(2, {(1, 0): 1.0, (2, 0): 0.5}),
                                     flat_geometry(2), np.zeros(2))
             assert [row["approach_rate"] for row in rows] == [np.inf, np.inf]
+            assert whitney.jet_match_passed(rows, k)
 
     def test_unmeasured_rate_fails(self, monkeypatch, tmp_path):
         # one defect above the floor leaves the row's rate unmeasured
-        # (inf), and inf >= k + 1 must not pass the CLI or criterion 6
+        # (NaN), which must not pass the CLI or criterion 6
         from slitkit import cli
 
         def stub(mol, Q, geom, Z, orders=(0, 1)):
             approaches = [2.0**-j for j in range(3, 8)]
-            return [{"order": m, "approaches": approaches,
-                     "defects": [3e-13, 2e-17, 1e-17, 1e-17, 1e-17],
-                     "approach_rate": float("inf")} for m in orders]
+            defects = [3e-13, 2e-17, 1e-17, 1e-17, 1e-17]
+            return [{"order": m, "approaches": approaches, "defects": defects,
+                     "approach_rate": _order(approaches, defects, 1e-13)[0]} for m in orders]
 
         monkeypatch.setattr(whitney, "verify_jet_match", stub)
         rows = stub(None, None, None, None)
+        assert all(np.isnan(row["approach_rate"]) for row in rows)
         assert not whitney.jet_match_passed(rows, 0)
         assert cli.main(["whitney", "--n", "2", "--output", str(tmp_path)]) == 1
 
