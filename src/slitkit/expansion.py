@@ -30,7 +30,8 @@ class RateReport:
     A report passes when the exponent is within 0.2 of the target and
     the log-log residual is at most 0.3.  The exponent is ``_order``'s:
     inf (residual 0) when every error is at rounding, which passes, and
-    NaN when the errors measure no rate, which fails.
+    NaN when the errors measure no rate, which fails.  The error of a
+    region with no node is NaN.
     """
 
     scales: np.ndarray
@@ -93,9 +94,9 @@ def _sup_rates(dev, dist, scales, target, mode: str, min_nodes: int = 0,
     shell (``mode="shell"``) at each scale, and its log-log decay fit.
 
     A region with fewer than ``min_nodes`` samples raises
-    InsufficientResolution.  An empty one is written as error 0 but
-    enters the fit as NaN, so the exponent reads NaN: unmeasured, not
-    exact.  Errors at or below 1e-12 are rounding.
+    InsufficientResolution.  An empty one has error NaN, so a reader
+    tells "no node" from "no error", and the fit's exponent reads NaN:
+    unmeasured, not exact.  Errors at or below 1e-12 are rounding.
     """
     if mode not in ("shell", "ball"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -110,7 +111,7 @@ def _sup_rates(dev, dist, scales, target, mode: str, min_nodes: int = 0,
                 f"{mode} at scale {hi:.4f} has {int(sel.sum())} nodes < {min_nodes}")
         errors[j] = dev[sel].max() if sel.any() else math.nan
     expo, resid = _order(scales, errors, 1e-12)
-    return RateReport(scales=scales, errors=np.nan_to_num(errors, nan=0.0), exponent=expo,
+    return RateReport(scales=scales, errors=errors, exponent=expo,
                       residual=resid, target=target, label=label)
 
 

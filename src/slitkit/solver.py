@@ -11,8 +11,10 @@ Three backends:
   optional singularity splitting that subtracts a fitted multiple of the
   edge profile so the remainder is smooth enough for second-order
   stencils; every system, 2-D or 3-D, is solved by conjugate gradients
-  preconditioned by a line-smoothed geometric multigrid V-cycle, one
-  ``_Multigrid`` object per system owning its levels, cycle and CG,
+  preconditioned by a geometric multigrid V-cycle smoothed by line
+  blocks and, where graded 3-D cells are thin in two directions, plane
+  blocks, one ``_Multigrid`` object per system owning its levels, cycle
+  and CG,
 * a Shortley-Weller disc solver used as an independent oracle by the
   free boundary pipeline.
 
@@ -43,7 +45,7 @@ import time
 import types
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -318,6 +320,8 @@ def _fv_laplacian(axes: list):
 
 
 _COARSEST = 3_000       # coarsening stops at this many unknowns
+_PLANE_RATIO = 2.0      # plane-block cells are over this many times longer along the axis
+_PLANE_SIDE = 24        # a plane block spans at most this many indices per side
 _CYCLE_BUDGET = 100     # CG iterations, one V-cycle each
 _FIT_RTOL = 1e-6        # CG rtol of a solve that only feeds the split fit
 
@@ -342,54 +346,169 @@ def _prolongation(axes: list, idx: list, mask: np.ndarray, coarse_mask: np.ndarr
     return P[np.flatnonzero(mask)][:, np.flatnonzero(coarse_mask)].astype(np.float32)
 
 
-def _line_factors(A, mask: np.ndarray) -> list:
-    """Per axis of the grid with unknowns ``mask``, the float32 factors
-    (d, e) of A's tridiagonal line blocks, with the permutation that
-    lines up the unknowns along the axis and its inverse (None on z)."""
-    # the unknown number of each node, and each unknown's node
+def _couplings(A, mask: np.ndarray):
+    """What the smoother's blocks read of the operator A on the unknowns
+    ``mask`` of a grid: the unknown number of each node (-1 off them),
+    A's diagonal and, per axis, each unknown's coupling to the next node
+    along the axis (zero where that node is not an unknown)."""
     number = np.full(mask.shape, -1, dtype=np.int32)
     number[mask] = np.arange(A.shape[0], dtype=np.int32)
     node = np.flatnonzero(mask).astype(np.int32)
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int32), np.diff(A.indptr))
-    step = node[A.indices] - node[rows]
-    diag = A.diagonal()
-    strides = np.cumprod((mask.shape[1:] + (1,))[::-1])[::-1]
+    entries = np.diff(A.indptr)
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int32), entries)
+    # the node step of each stored entry: its column's node less its row's
+    step = node[A.indices]
+    step -= np.repeat(node, entries)
+    uppers = []
+    for stride in np.cumprod((mask.shape[1:] + (1,))[::-1])[::-1]:
+        at = np.flatnonzero(step == stride)
+        upper = np.zeros(A.shape[0], dtype=A.dtype)
+        upper[rows[at]] = A.data[at]
+        uppers.append(upper)
+    return number, A.diagonal(), uppers
+
+
+class _Line(NamedTuple):
+    """The tridiagonal line blocks of one axis: the unknowns lined up
+    along the axis by ``perm`` (None on z, whose lines are contiguous),
+    ``inv`` its inverse, and the float32 ``spttrf`` factors (d, e)."""
+
+    perm: np.ndarray | None
+    inv: np.ndarray | None
+    d: np.ndarray
+    e: np.ndarray
+
+    def __call__(self, A, b, x):
+        """One block-Jacobi sweep of A x = b; from zero when x is None."""
+        r = b if x is None else b - A @ x
+        t = lapack.spttrs(self.d, self.e, r if self.perm is None else np.take(r, self.perm))[0]
+        if self.perm is not None:
+            t = np.take(t, self.inv)
+        if x is None:
+            return t
+        x += t
+        return x
+
+
+class _Plane(NamedTuple):
+    """The plane blocks of one axis as one banded system: ``unknowns``
+    in band order, their ``band_rows`` (the other rows are identity
+    padding), their float32 rows ``A_rows`` of the level operator, and
+    the ``spbtrf`` Cholesky factor of the band in lower storage."""
+
+    unknowns: np.ndarray
+    band_rows: np.ndarray
+    A_rows: object
+    factor: np.ndarray
+
+    def __call__(self, A, b, x):
+        """One block-Jacobi sweep of A x = b over the block's unknowns;
+        the residual is formed on those rows of A only."""
+        r = np.zeros(self.factor.shape[1], dtype=np.float32)
+        r[self.band_rows] = np.take(b, self.unknowns) - self.A_rows @ x
+        t = lapack.spbtrs(self.factor, r, lower=1, overwrite_b=1)[0]
+        x[self.unknowns] += t[self.band_rows]
+        return x
+
+
+def _line_factors(number: np.ndarray, diag: np.ndarray, uppers: list) -> list:
+    """Per axis, the ``_Line`` of the tridiagonal line blocks of a float32
+    operator, from its ``_couplings``; a line is every unknown of one
+    grid line."""
     lines = []
-    for axis, stride in enumerate(strides):
-        # coupling of each unknown to the next unknown along the axis
-        # (zero where that node is not an unknown), then the unknowns
-        # line by line: z-lines are already contiguous
-        upper = np.zeros(A.shape[0])
-        along = step == stride
-        upper[rows[along]] = A.data[along]
+    for axis, upper in enumerate(uppers):
         perm = inv = None
         d = diag
-        if axis < mask.ndim - 1:
+        if axis < number.ndim - 1:
             perm = np.moveaxis(number, axis, -1).ravel()
             perm = perm[perm >= 0]
             inv = np.empty_like(perm)
             inv[perm] = np.arange(len(perm), dtype=np.int32)
             upper, d = upper[perm], diag[perm]
-        d, e, info = lapack.spttrf(d.astype(np.float32), upper[:-1].astype(np.float32))
+        d, e, info = lapack.spttrf(d, upper[:-1])
         if info != 0:
             raise np.linalg.LinAlgError(f"line block of axis {axis} is not positive "
                                         f"definite (info={info})")
-        lines.append((perm, inv, d, e))
+        lines.append(_Line(perm, inv, d, e))
     return lines
 
 
-def _smooth(A, b, x, lines):
-    """Line block-Jacobi sweeps of A x = b over ``lines`` in order; from
-    zero when ``x`` is None, so the first sweep needs no residual."""
-    for perm, inv, d, e in lines:
-        r = b if x is None else b - A @ x
-        t = lapack.spttrs(d, e, r if perm is None else np.take(r, perm))[0]
-        if perm is not None:
-            t = np.take(t, inv)
-        if x is None:
-            x = t
-        else:
-            x += t
+def _plane_blocks(A, axes: list, number: np.ndarray, diag: np.ndarray, uppers: list) -> list:
+    """Per axis a of a 3-D grid, the ``_Plane`` of the plane blocks of the
+    float32 operator A, from its ``_couplings``; none on a 2-D grid.
+
+    The block of a-index i is the (b, c) rectangle of the other two axes'
+    indices whose cell widths are below w_a[i] / ``_PLANE_RATIO``, at most
+    the ``_PLANE_SIDE`` narrowest per side: there the cells are thin
+    across the plane, and a line sweep leaves its error.  A rectangle
+    without unknowns is dropped.  The blocks of one axis are one banded
+    matrix, block by block with each one's shorter side fastest, so the
+    bandwidth is the longest shorter side; a node that is not an unknown
+    is an identity row, and the couplings along a are dropped.
+    """
+    if number.ndim != 3:
+        return []
+    widths = [_cell_widths(a) for a in axes]
+    planes = []
+    for a in range(3):
+        b, c = (k for k in range(3) if k != a)
+        # per side axis and a-index, how many of its indices are narrow
+        # enough (capped), and for each count m its m narrowest indices
+        counts, narrowest = [], []
+        for k in (b, c):
+            order = np.argsort(widths[k], kind="stable")[:_PLANE_SIDE]
+            counts.append(np.minimum(np.searchsorted(np.sort(widths[k]),
+                                                     widths[a] / _PLANE_RATIO), len(order)))
+            table = np.zeros((len(order) + 1, len(order)), dtype=np.intp)
+            for m in range(1, len(order) + 1):
+                table[m, :m] = np.sort(order[:m])
+            narrowest.append(table)
+        index = np.flatnonzero((counts[0] > 0) & (counts[1] > 0))
+        nb, nc = counts[0][index], counts[1][index]
+        # the rows of each rectangle, its shorter side fastest
+        fast_c = nc <= nb
+        short, long_, size = np.where(fast_c, nc, nb), np.where(fast_c, nb, nc), nb * nc
+        block = np.repeat(np.arange(len(index)), size)
+        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        fast_c, short, long_ = fast_c[block], short[block], long_[block]
+        j_short, j_long = local % short, local // short
+        ib = narrowest[0][nb[block], np.where(fast_c, j_long, j_short)]
+        ic = narrowest[1][nc[block], np.where(fast_c, j_short, j_long)]
+        node = [None] * 3
+        node[a], node[b], node[c] = index[block], ib, ic
+        unknown = number[tuple(node)]
+        keep = (np.bincount(block, weights=unknown >= 0, minlength=len(index)) > 0)[block]
+        if not keep.any():
+            continue
+        unknown, fast_c, short, long_, j_short, j_long, ib, ic = (
+            v[keep] for v in (unknown, fast_c, short, long_, j_short, j_long, ib, ic))
+        known = unknown >= 0
+        u = np.where(known, unknown, 0)
+        ab = np.zeros((short.max() + 1, len(u)), dtype=np.float32)
+        ab[0] = np.where(known, diag[u], 1.0)
+        # each unknown's coupling to the row one step on along each side
+        # (band offset 1 along the shorter side, its length along the
+        # longer), where that row is the next node of the grid
+        for along_c, offset, j, n in ((fast_c, np.ones_like(short), j_short, short),
+                                      (~fast_c, short, j_long, long_)):
+            at = np.where(along_c, ic, ib)
+            row = np.flatnonzero(known & (j + 1 < n))
+            row = row[at[row + offset[row]] == at[row] + 1]
+            ab[offset[row], row] = np.where(along_c[row], uppers[c][u[row]], uppers[b][u[row]])
+        factor, info = lapack.spbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"plane block of axis {a} is not positive "
+                                        f"definite (info={info})")
+        unknown = unknown[known]
+        planes.append(_Plane(unknown, np.flatnonzero(known).astype(np.int32), A[unknown], factor))
+    return planes
+
+
+def _smooth(A, b, x, sweeps):
+    """The block-Jacobi sweeps of A x = b in order; from zero when ``x``
+    is None, so the first sweep, a ``_Line``, needs no residual."""
+    for sweep in sweeps:
+        x = sweep(A, b, x)
     return x
 
 
@@ -401,18 +520,27 @@ class _Multigrid:
     Each coarse axis is every other node of the fine one, both ends kept,
     and the coarse unknowns are the fine unknowns on coarse nodes; each
     coarse operator is ``_fv_laplacian`` of the coarse axes on those
-    unknowns.  A level is the tuple (float32 operator, P, R = P^T, line
-    factors).  Coarsening stops at ``_COARSEST`` unknowns or at an axis
-    of two nodes, and the coarsest system is factored.  The smoother is
-    alternating line block-Jacobi (omega = 1), axes ascending before the
-    coarse correction and descending after it.  The cycle runs in
-    float32 and returns float64.
+    unknowns.  A level is the tuple (float32 operator, P, R = P^T,
+    sweeps).  Coarsening stops at ``_COARSEST`` unknowns or at an axis
+    of two nodes, and the coarsest system is factored.
+
+    The smoother is block-Jacobi (omega = 1): the line blocks of every
+    axis (``_line_factors``), then on a 3-D level the plane blocks of
+    every axis (``_plane_blocks``), in that order before the coarse
+    correction and in reverse after it, so the cycle is symmetric.  On a
+    power-graded grid the cells next to the slit edge are thin in two
+    directions at once, where alternating line relaxation is not a
+    robust smoother and plane relaxation is (Trottenberg, Oosterlee and
+    Schueller, *Multigrid*, 2001, ch. 5); the plane blocks cover those
+    cells only.  A 2-D level and a uniform grid have none.  The cycle
+    runs in float32 and returns float64.
 
     ``solve(b, x0, rtol)`` runs CG from x0 to the relative residual rtol
     (default 1e-11, absolute floor rtol * max(|b|, 1)), one cycle per
     iteration, at most ``_CYCLE_BUDGET``; NonConvergence with the cycle
     count and relative residual otherwise.  The unknowns per level, the
-    setup time and each solve's cycles, rtol and residual go to DEBUG.
+    setup time, the plane blocks' unknowns and padded rows per level and
+    each solve's cycles, rtol and residual go to DEBUG.
     """
 
     def __init__(self, A, axes: list, mask: np.ndarray):
@@ -425,7 +553,11 @@ class _Multigrid:
             coarse_axes = [a[i] for a, i in zip(axes, idx)]
             coarse_mask = mask[np.ix_(*idx)]
             P = _prolongation(axes, idx, mask, coarse_mask)
-            self.levels.append((A.astype(np.float32), P, P.T.tocsr(), _line_factors(A, mask)))
+            A32 = A.astype(np.float32)
+            number, diag, uppers = _couplings(A32, mask)
+            sweeps = (_line_factors(number, diag, uppers)
+                      + _plane_blocks(A32, axes, number, diag, uppers))
+            self.levels.append((A32, P, P.T.tocsr(), sweeps))
             keep = coarse_mask.ravel()
             A = -_fv_laplacian(coarse_axes)[1][keep][:, keep]
             axes, mask = coarse_axes, coarse_mask
@@ -436,18 +568,22 @@ class _Multigrid:
                                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         _LOG.debug("linear solver: multigrid-cg, unknowns per level %s, setup %.3f s",
                    "/".join(map(str, self.unknowns)), time.perf_counter() - t0)
+        planes = [[s for s in lv[3] if isinstance(s, _Plane)] for lv in self.levels] + [[]]
+        _LOG.debug("plane blocks: unknowns per level %s, padded %s",
+                   "/".join(str(sum(len(p.unknowns) for p in ps)) for ps in planes),
+                   "/".join(str(sum(p.factor.shape[1] for p in ps)) for ps in planes))
 
     def __call__(self, b):
         b = b.astype(np.float32)
         down = []
-        for A, _, R, lines in self.levels:
-            x = _smooth(A, b, None, lines)
+        for A, _, R, sweeps in self.levels:
+            x = _smooth(A, b, None, sweeps)
             down.append((b, x))
             b = R @ (b - A @ x)
         e = self.coarsest.solve(b).astype(np.float32)
-        for (A, P, _, lines), (b, x) in zip(self.levels[::-1], down[::-1]):
+        for (A, P, _, sweeps), (b, x) in zip(self.levels[::-1], down[::-1]):
             x += P @ e
-            e = _smooth(A, b, x, lines[::-1])
+            e = _smooth(A, b, x, sweeps[::-1])
         return e.astype(np.float64)
 
     def solve(self, b, x0=None, rtol=1e-11):
